@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 smoke: the full unit suite (golden-figure regression
-# included), a quick throughput benchmark, a tiny parallel study
-# through the repro.runtime engine (2 workers, checkpointed), a
+# included), a quick throughput benchmark, the perf ledger's self-test
+# (the harness that judges each PR is itself checked), a tiny parallel
+# study through the repro.runtime engine (2 workers, checkpointed), a
 # streaming (sketch-mode) study over an expanded population plus the
 # memory-ceiling benchmark, the sketch-figures stage (all 29 figures
 # rendered from streamed aggregates, headline JSON diffed against an
 # exact-mode run), the ABR stack smoke (a tiny dash-abr study with
-# figures + claim report, byte-stability diffed across backends),
+# figures + claim report, byte-stability diffed across backends, and a
+# dash-abr-bbr study whose CSV must not move between 2 workers and 1),
 # a strict-mode validated study (every repro.validate invariant must
 # hold) plus the serial-vs-parallel oracle, the corrupted-checkpoint
 # resume tests, and a 2x2 scenario sweep through repro.sweep (first
@@ -31,6 +33,9 @@ python -m pytest -x -q tests/test_goldens.py
 
 echo "== quick throughput benchmark =="
 python -m pytest -x -q --quick benchmarks/test_bench_throughput.py
+
+echo "== perf ledger self-test =="
+python -m pytest -q perfledger/test_ledger_selftest.py
 
 echo "== parallel study smoke (2 workers) =="
 out="$(mktemp -d)"
@@ -94,7 +99,7 @@ print(f"figures smoke ok: {len(sketch)} figures byte-equal across "
       f"backends over {report['records']} streamed records")
 EOF
 
-echo "== ABR stack smoke (dash-abr study, figures, byte-stability) =="
+echo "== ABR stack smoke (dash-abr + dash-abr-bbr studies, figures, byte-stability) =="
 python -m repro.cli study --seed 2001 --scale 0.02 --scenario dash-abr \
     --workers 2 --out "$out/abr.csv" --checkpoint-dir "$out/abr.ckpt" --quiet
 python -m repro.cli figures --seed 2001 --scale 0.02 --scenario dash-abr \
@@ -123,6 +128,14 @@ print(f"abr smoke ok: {len(abr)} ABR records, 29 figures byte-equal "
       f"across backends, claims: "
       + ", ".join(f"{v.claim_id}={v.verdict}" for v in verdicts))
 EOF
+
+# the BBR-paced sender, outside pytest: worker count must not move a byte
+python -m repro.cli study --seed 2001 --scale 0.02 --scenario dash-abr-bbr \
+    --workers 2 --out "$out/bbr-w2.csv" --quiet
+python -m repro.cli study --seed 2001 --scale 0.02 --scenario dash-abr-bbr \
+    --workers 1 --out "$out/bbr-w1.csv" --quiet
+cmp "$out/bbr-w1.csv" "$out/bbr-w2.csv"
+echo "bbr smoke ok: dash-abr-bbr CSV byte-identical at workers 1 and 2"
 
 echo "== streaming memory ceiling (peak bounded by batch, not records) =="
 python -m pytest -x -q benchmarks/test_bench_memory.py

@@ -1,10 +1,10 @@
-"""The DASH-style ABR client.
+"""The DASH-style ABR client: the HTTP front end of the player core.
 
-:class:`AbrPlayer` mirrors the :class:`~repro.player.realplayer.RealPlayer`
-driving surface (``start``/``stop``/``stats``/``outcome``/``protocol``/
-``finished``/``add_done_callback`` plus the read-only audit properties),
-so `repro.core.realtracer` and `repro.validate` drive it unchanged.
-Instead of RTSP negotiation it runs the HTTP-shaped loop:
+:class:`AbrPlayer` is a :class:`~repro.player.core.PlayerCore` — the
+same lifecycle, control channel, playout and audit surface as
+:class:`~repro.player.realplayer.RealPlayer`, so `repro.core.realtracer`
+and `repro.validate` drive it as the same type.  Instead of RTSP
+negotiation it runs the HTTP-shaped loop:
 
 1. GET the manifest (it may be unavailable — the ABR analog of the
    paper's Figure 10 failures);
@@ -33,21 +33,18 @@ from repro.abr.messages import (
     SegmentEnd,
     SegmentRequest,
 )
-from repro.abr.server import AbrSession, SegmentServer
+from repro.abr.server import SegmentServer
 from repro.net.path import NetworkPath
-from repro.player.buffer import Reassembler
-from repro.player.decoder import Decoder, DecoderProfile, UNCONSTRAINED_PROFILE
-from repro.player.playout import PlaybackState, PlayoutEngine
-from repro.player.realplayer import PlaybackOutcome, PlayerConfig
-from repro.player.stats import BandwidthSample, ClipStats
-from repro.sim.engine import EventLoop, Timer
+from repro.player.core import PlaybackOutcome, PlayerConfig, PlayerCore
+from repro.player.decoder import DecoderProfile
+from repro.sim.engine import EventLoop
 from repro.transport.base import Protocol
 
 #: Re-check period once the buffer target pauses segment requests.
 IDLE_RECHECK_MIN_S = 0.2
 
 
-class AbrPlayer:
+class AbrPlayer(PlayerCore):
     """One client pulling one clip's segments from a segment server."""
 
     def __init__(
@@ -61,183 +58,33 @@ class AbrPlayer:
         decoder_profile: DecoderProfile | None = None,
         on_done: Callable[[PlaybackOutcome], None] | None = None,
     ) -> None:
-        self._loop = loop
-        self._path = path
-        self._server = server
-        self.clip_url = clip_url
-        self.config = config
+        super().__init__(
+            loop, path, server, clip_url, config, decoder_profile, on_done
+        )
         self.abr = abr if abr is not None else server.config
-        self._on_done = on_done
-
-        self.stats = ClipStats()
-        self._reassembler = Reassembler(self._on_frame_complete)
-        self._decoder = Decoder(
-            decoder_profile
-            if decoder_profile is not None
-            else UNCONSTRAINED_PROFILE
-        )
-        self.engine = PlayoutEngine(
-            loop,
-            self._decoder,
-            self.stats,
-            config=config.playout,
-            coded_info=self._coded_info,
-            on_media_advance=self._reassembler.expire_before,
-        )
-
-        self.protocol: Protocol | None = None
-        self.outcome: PlaybackOutcome | None = None
-        self._channel = None
-        self._connection = None
-        self._session: AbrSession | None = None
         self._manifest: AbrManifest | None = None
         self._controller: AbrController | None = None
         self._estimator = ThroughputEstimator(self.abr.throughput_window)
-        self._coded_bps = 0.0
-        self._coded_fps = 15.0
-        self._started = False
-        self._done = False
-        self._play_accepted = False
         self._next_segment = 0
         self._pending: tuple[int, int, float] | None = None
         self._last_position: int | None = None
         self._level_time = 0.0
         self._level_weight = 0.0
         self._idle_event = None
-        self._control_timer = Timer(loop, self._on_control_timeout)
-        self._control_retried = False
-        self._pending_request: ManifestRequest | None = None
-        self._sample_event = None
-        self._last_sample_bytes = 0
-        self._last_sample_frames = 0
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> None:
-        """Kick off the manifest fetch."""
-        if self._started:
-            return
-        self._started = True
-        self.stats.started_at = self._loop.now
-        # Local import: repro.server.rtsp provides the reliable duplex
-        # channel both stacks use for their request bytes.
-        from repro.server.rtsp import ControlChannel
-
-        self._channel = ControlChannel(self._loop, self._path)
-        self._channel.on_client_receive = self._on_control_message
-        self._connection = self._server.attach(self._channel, self._path)
-        self._send_manifest_request(
-            ManifestRequest(self.clip_url, self.config.client_max_bps)
-        )
-        if self.config.sample_timeline:
-            self._sample_event = self._loop.schedule(1.0, self._sample)
-
-    def stop(self) -> None:
-        """Stop playback and tear the session down."""
-        if self._done:
-            return
-        # Same outcome rule as the 2001 stack: a playback counts as
-        # "played" once the server accepted the session, even if it
-        # spent the whole minute buffering (the 0-fps CDF points).
-        self._finish(
-            self.outcome
-            if self.outcome is not None
-            else (
-                PlaybackOutcome.PLAYED
-                if self._play_accepted
-                else PlaybackOutcome.CONTROL_FAILED
-            )
-        )
-
-    def add_done_callback(
-        self, callback: Callable[[PlaybackOutcome], None]
-    ) -> None:
-        """Invoke ``callback(outcome)`` when playback finishes."""
-        if self._done:
-            assert self.outcome is not None
-            callback(self.outcome)
-            return
-        prev = self._on_done
-        if prev is None:
-            self._on_done = callback
-        else:
-
-            def chained(outcome: PlaybackOutcome) -> None:
-                prev(outcome)
-                callback(outcome)
-
-            self._on_done = chained
-
-    def _finish(self, outcome: PlaybackOutcome) -> None:
-        if self._done:
-            return
-        self._done = True
-        self.outcome = outcome
-        self.engine.stop()
-        self.stats.frames_lost = self._reassembler.frames_expired_incomplete
-        self.stats.bytes_received = self._reassembler.bytes_received
-        self._control_timer.cancel()
+    def _on_finish(self) -> None:
         if self._idle_event is not None:
             self._idle_event.cancel()
-        if self._sample_event is not None:
-            self._sample_event.cancel()
-        if self._session is not None:
-            self._session.close()
-        if self._channel is not None:
-            self._channel.close()
-        if self._on_done is not None:
-            self._on_done(outcome)
-
-    @property
-    def finished(self) -> bool:
-        return self._done
-
-    # -- introspection (read-only, used by repro.validate) ------------------
-
-    @property
-    def reassembler(self) -> Reassembler:
-        """The frame reassembler (read-only audits)."""
-        return self._reassembler
-
-    @property
-    def decoder(self) -> Decoder:
-        """The decoder model (read-only audits)."""
-        return self._decoder
-
-    @property
-    def session(self) -> AbrSession | None:
-        """The server-side segment session, if the manifest succeeded."""
-        return self._session
-
-    @property
-    def renegotiated(self) -> bool:
-        """ABR sessions never renegotiate the data channel."""
-        return False
 
     # -- control plane ------------------------------------------------------
 
-    def _send_manifest_request(self, request: ManifestRequest) -> None:
-        assert self._channel is not None
-        self._pending_request = request
-        self._control_timer.start(self.config.control_timeout_s)
-        self._channel.send_from_client(request)
-
-    def _on_control_timeout(self) -> None:
-        if self._done:
-            return
-        if not self._control_retried and self._pending_request is not None:
-            self._control_retried = True
-            assert self._channel is not None
-            self._control_timer.start(self.config.control_timeout_s)
-            self._channel.send_from_client(self._pending_request)
-            return
-        self._finish(PlaybackOutcome.CONTROL_FAILED)
+    def _opening_request(self) -> ManifestRequest:
+        return ManifestRequest(self.clip_url, self.config.client_max_bps)
 
     def _on_control_message(self, message: object) -> None:
         if self._done or not isinstance(message, ManifestResponse):
             return
-        self._control_timer.cancel()
-        self._pending_request = None
+        self._request_answered()
         if not message.ok or message.manifest is None:
             self._finish(PlaybackOutcome.UNAVAILABLE)
             return
@@ -248,18 +95,12 @@ class AbrPlayer:
         self._controller = AbrController(
             self.abr, [level.total_bps for level in self._manifest.levels]
         )
-        self._play_accepted = True
         # From here the record classifies as ABR even if zero segments
         # ever arrive (the all-stall degenerate case).
         self.stats.abr_mean_level = 0.0
         first = self._manifest.levels[0]
-        self._coded_bps = first.total_bps
-        self._coded_fps = first.frame_rate
-        self.stats.coded_history.append(
-            (self._loop.now, first.total_bps, first.frame_rate)
-        )
-        if self.engine.state is PlaybackState.IDLE:
-            self.engine.begin_buffering()
+        self._set_coded(first.total_bps, first.frame_rate)
+        self._accept_play()
         self._request_next()
 
     # -- the segment request loop --------------------------------------------
@@ -330,40 +171,8 @@ class AbrPlayer:
             self._coded_bps,
             self._coded_fps,
         ):
-            self._coded_bps = end.total_bps
-            self._coded_fps = end.frame_rate
-            self.stats.coded_history.append(
-                (now, end.total_bps, end.frame_rate)
-            )
+            self._set_coded(end.total_bps, end.frame_rate)
         if end.eos:
             self.engine.mark_eos(end.final_media_time)
         else:
             self._request_next()
-
-    def _on_frame_complete(self, frame) -> None:
-        self.engine.on_frame_complete(frame)
-
-    def _coded_info(self) -> tuple[float, float]:
-        if self._coded_bps <= 0:
-            return (300_000.0, self._coded_fps)
-        return (self._coded_bps, self._coded_fps)
-
-    # -- timeline sampling ------------------------------------------------------
-
-    def _sample(self) -> None:
-        if self._done:
-            return
-        bytes_now = self._reassembler.bytes_received
-        frames_now = len(self.stats.frame_times)
-        self.stats.samples.append(
-            BandwidthSample(
-                at_s=self._loop.now - self.stats.started_at,
-                bandwidth_bps=(bytes_now - self._last_sample_bytes) * 8.0,
-                frame_rate_fps=float(frames_now - self._last_sample_frames),
-                coded_bandwidth_bps=self._coded_bps,
-                coded_frame_rate_fps=self._coded_fps,
-            )
-        )
-        self._last_sample_bytes = bytes_now
-        self._last_sample_frames = frames_now
-        self._sample_event = self._loop.schedule(1.0, self._sample)

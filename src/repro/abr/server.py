@@ -44,6 +44,7 @@ from repro.server.rtsp import ControlChannel
 from repro.server.session import AudioChunk, SessionStats
 from repro.sim.engine import EventLoop
 from repro.transport.bbr import BbrConnection
+from repro.transport.stream import ReliableStream
 from repro.transport.tcp import TcpConnection
 
 #: Audio packet payload size (matches the RealVideo session default).
@@ -191,10 +192,8 @@ class AbrSession:
 
         # The data transport (always TCP-family; pacing is the knob).
         self.udp = None
-        if config.pacing == PACING_BBR:
-            self.tcp: TcpConnection | BbrConnection = BbrConnection(loop, path)
-        else:
-            self.tcp = TcpConnection(loop, path)
+        sender = BbrConnection if config.pacing == PACING_BBR else TcpConnection
+        self.tcp: ReliableStream = sender(loop, path)
 
     def manifest(self) -> AbrManifest:
         return AbrManifest(
@@ -217,15 +216,12 @@ class AbrSession:
     def finished(self) -> bool:
         return self._stopped
 
-    def close(self) -> None:
+    def stop(self) -> None:
         """Tear the session down (client done or tracer timeout)."""
         if self._stopped:
             return
         self._stopped = True
         self.tcp.close()
-
-    # The 2001-session method name, so shared teardown paths work.
-    stop = close
 
     def serve(self, request: SegmentRequest) -> None:
         """Enqueue one segment's media onto the data channel.

@@ -6,9 +6,9 @@ returns the :class:`~repro.core.records.ClipRecord` that the real tool
 emailed/FTPed to WPI.
 
 The tracer is player-agnostic (the "MediaTracer" extension of the
-paper's future work): it drives anything exposing the
-:class:`~repro.player.realplayer.RealPlayer` interface, which it
-builds through an injectable factory.
+paper's future work): it drives any
+:class:`~repro.player.core.PlayerCore` front end, which it builds
+through an injectable factory.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from repro.abr.server import SegmentServer
 from repro.core.records import ClipRecord
 from repro.media.clip import VideoClip
 from repro.player.playout import PlayoutConfig
-from repro.player.realplayer import PlaybackOutcome, PlayerConfig, RealPlayer
+from repro.player.core import PlaybackOutcome, PlayerConfig, PlayerCore
+from repro.player.realplayer import RealPlayer
 from repro.quality.rating import RatingBehavior
 from repro.server.availability import AvailabilityModel
 from repro.server.realserver import RealServer
@@ -59,21 +60,8 @@ class TracerConfig:
 
 #: Signature of the player factory (MediaTracer extension point).
 PlayerFactory = Callable[
-    [EventLoop, object, RealServer, str, PlayerConfig, object], RealPlayer
+    [EventLoop, object, RealServer, str, PlayerConfig, object], PlayerCore
 ]
-
-
-def _default_player_factory(
-    loop, path, server, clip_url, config, decoder_profile
-) -> RealPlayer:
-    return RealPlayer(
-        loop=loop,
-        path=path,
-        server=server,
-        clip_url=clip_url,
-        config=config,
-        decoder_profile=decoder_profile,
-    )
 
 
 class RealTracer:
@@ -93,8 +81,9 @@ class RealTracer:
         self._rating = (
             rating_behavior if rating_behavior is not None else RatingBehavior()
         )
+        # RealPlayer's own constructor has the factory's signature.
         self._player_factory = (
-            player_factory if player_factory is not None else _default_player_factory
+            player_factory if player_factory is not None else RealPlayer
         )
         self.validation = validation if validation is not None else ValidationConfig()
         if ledger is not None:
@@ -107,7 +96,7 @@ class RealTracer:
         else:
             self.ledger = None
         #: The last player driven (exposed for timeline figures/tests).
-        self.last_player: RealPlayer | None = None
+        self.last_player: PlayerCore | None = None
 
     def play_clip(
         self,
@@ -184,7 +173,7 @@ class RealTracer:
 
     # -- internals ----------------------------------------------------------
 
-    def _drive(self, loop: EventLoop, player: RealPlayer) -> None:
+    def _drive(self, loop: EventLoop, player: PlayerCore) -> None:
         """Run the loop until the playback ends.
 
         The tracer stops the clip ``play_limit_s`` after playout starts
@@ -206,18 +195,11 @@ class RealTracer:
             loop.schedule(0.5, watch)
 
         loop.schedule(0.5, watch)
-        add_done = getattr(player, "add_done_callback", None)
-        if add_done is not None:
-            # The player tells the loop to stop the moment it finishes,
-            # so the run itself is the tight predicate-free dispatch
-            # loop (the hard-stop event bounds it even if the player
-            # never signals).
-            add_done(lambda _outcome: loop.stop())
-            loop.run()
-        else:
-            # MediaTracer extension point: a foreign player that only
-            # exposes ``finished`` is driven with an explicit predicate.
-            loop.run_while(lambda: not player.finished)
+        # The player tells the loop to stop the moment it finishes, so
+        # the run itself is the tight predicate-free dispatch loop (the
+        # hard-stop event bounds it even if the player never signals).
+        player.add_done_callback(lambda _outcome: loop.stop())
+        loop.run()
         hard_stop.cancel()
 
     def _blocked_record(
@@ -258,7 +240,7 @@ class RealTracer:
         user: UserProfile,
         site: ServerSite,
         clip: VideoClip,
-        player: RealPlayer,
+        player: PlayerCore,
         rating: int,
     ) -> ClipRecord:
         stats = player.stats

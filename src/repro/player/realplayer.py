@@ -1,12 +1,13 @@
-"""The RealPlayer analog: RTSP client, data-plane wiring, playback.
+"""The RealPlayer analog: the RTSP front end of the player core.
 
-Drives the whole client side of one playback:
+Drives the client side of one playback's negotiation:
 
 1. DESCRIBE the clip (it may be unavailable, Figure 10);
 2. SETUP the data channel — UDP by default, TCP when the environment
    forces it, with an automatic TCP fallback when a UDP setup produces
    no data (the "auto-configuration of protocols" of Section II.A);
-3. PLAY, buffer, and play out via the :class:`PlayoutEngine`;
+3. PLAY — buffering and playout are the
+   :class:`~repro.player.core.PlayerCore`'s;
 4. TEARDOWN on stop.
 
 The tracer reads the resulting :class:`~repro.player.stats.ClipStats`.
@@ -14,18 +15,13 @@ The tracer reads the resulting :class:`~repro.player.stats.ClipStats`.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.player.buffer import Reassembler
-from repro.player.decoder import Decoder, DecoderProfile, UNCONSTRAINED_PROFILE
-from repro.player.playout import PlaybackState, PlayoutConfig, PlayoutEngine
-from repro.player.stats import BandwidthSample, ClipStats
 from repro.net.path import NetworkPath
-from repro.server.realserver import RealServer, ServerConnection
+from repro.player.core import PlaybackOutcome, PlayerConfig, PlayerCore
+from repro.player.decoder import DecoderProfile
+from repro.server.realserver import RealServer
 from repro.server.rtsp import (
-    ControlChannel,
     RtspMethod,
     RtspRequest,
     RtspResponse,
@@ -35,40 +31,11 @@ from repro.server.session import EndOfStream, LevelSwitch, StreamingSession
 from repro.sim.engine import EventLoop, Timer
 from repro.transport.base import Protocol
 
-
-class PlaybackOutcome(enum.Enum):
-    """How a playback attempt ended."""
-
-    PLAYED = "played"
-    UNAVAILABLE = "unavailable"
-    CONTROL_FAILED = "control_failed"
+__all__ = ["PlaybackOutcome", "PlayerConfig", "RealPlayer"]
 
 
-@dataclass
-class PlayerConfig:
-    """Client-side configuration for one playback."""
-
-    #: The RealPlayer "maximum bandwidth" setting, bits/second.  Users
-    #: configure this from their connection type.
-    client_max_bps: float
-    #: The environment forces TCP (RTSP-unfriendly NAT/firewall, or a
-    #: user-configured TCP-only player).
-    force_tcp: bool = False
-    #: Wait this long after PLAY before judging the UDP data channel.
-    probe_timeout_s: float = 4.0
-    #: If fewer bytes than this arrived by then, fall back to TCP
-    #: (even the lowest SureStream level delivers ~10 KB in 4 s).
-    probe_min_bytes: int = 2500
-    #: Give up on an unanswered control request after this long.
-    control_timeout_s: float = 10.0
-    #: Playout buffering policy.
-    playout: PlayoutConfig = field(default_factory=PlayoutConfig)
-    #: Record one-second timeline samples (Figure 1).
-    sample_timeline: bool = False
-
-
-class RealPlayer:
-    """One client playing one clip from one server."""
+class RealPlayer(PlayerCore):
+    """One client playing one clip from one RealServer."""
 
     def __init__(
         self,
@@ -80,147 +47,26 @@ class RealPlayer:
         decoder_profile: DecoderProfile | None = None,
         on_done: Callable[[PlaybackOutcome], None] | None = None,
     ) -> None:
-        self._loop = loop
-        self._path = path
-        self._server = server
-        self.clip_url = clip_url
-        self.config = config
-        self._on_done = on_done
-
-        self.stats = ClipStats()
-        self._reassembler = Reassembler(self._on_frame_complete)
-        self._decoder = Decoder(
-            decoder_profile if decoder_profile is not None else UNCONSTRAINED_PROFILE
+        super().__init__(
+            loop, path, server, clip_url, config, decoder_profile, on_done
         )
-        self.engine = PlayoutEngine(
-            loop,
-            self._decoder,
-            self.stats,
-            config=config.playout,
-            coded_info=self._coded_info,
-            on_media_advance=self._reassembler.expire_before,
-        )
-
-        self.protocol: Protocol | None = None
-        self.outcome: PlaybackOutcome | None = None
-        self._channel: ControlChannel | None = None
-        self._connection: ServerConnection | None = None
-        self._session: StreamingSession | None = None
-        self._coded_bps = 0.0
-        self._coded_fps = 15.0
-        self._started = False
-        self._done = False
-        self._play_accepted = False
         self._udp_fallback_done = False
         self._probe_timer = Timer(loop, self._on_probe_timeout)
-        self._control_timer = Timer(loop, self._on_control_timeout)
-        self._control_retried = False
-        self._pending_request: RtspRequest | None = None
-        self._sample_event = None
-        self._last_sample_bytes = 0
-        self._last_sample_frames = 0
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> None:
-        """Kick off the control exchange."""
-        if self._started:
-            return
-        self._started = True
-        self.stats.started_at = self._loop.now
-        self._channel = ControlChannel(self._loop, self._path)
-        self._channel.on_client_receive = self._on_control_message
-        self._connection = self._server.attach(self._channel, self._path)
-        self._send_request(RtspRequest(RtspMethod.DESCRIBE, self.clip_url))
-        if self.config.sample_timeline:
-            self._sample_event = self._loop.schedule(1.0, self._sample)
 
     def stop(self) -> None:
         """Stop playback and tear the session down."""
-        if self._done:
-            return
-        if self._channel is not None and not self._channel.failed:
+        if (
+            not self._done
+            and self._channel is not None
+            and not self._channel.failed
+        ):
             self._channel.send_from_client(
                 RtspRequest(RtspMethod.TEARDOWN, self.clip_url)
             )
-        # A playback counts as "played" once the server accepted PLAY:
-        # RealTracer recorded statistics for clips that buffered
-        # without ever rendering a frame (they are the 0-fps points of
-        # the paper's frame-rate CDFs), not as failures.
-        self._finish(
-            self.outcome
-            if self.outcome is not None
-            else (
-                PlaybackOutcome.PLAYED
-                if self._play_accepted
-                else PlaybackOutcome.CONTROL_FAILED
-            )
-        )
+        super().stop()
 
-    def add_done_callback(
-        self, callback: Callable[[PlaybackOutcome], None]
-    ) -> None:
-        """Invoke ``callback(outcome)`` when playback finishes.
-
-        Runs after any constructor-supplied ``on_done``; if playback
-        already finished, the callback fires immediately (future-style
-        semantics, so drivers can attach it without racing the control
-        exchange).
-        """
-        if self._done:
-            assert self.outcome is not None
-            callback(self.outcome)
-            return
-        prev = self._on_done
-        if prev is None:
-            self._on_done = callback
-        else:
-
-            def chained(outcome: PlaybackOutcome) -> None:
-                prev(outcome)
-                callback(outcome)
-
-            self._on_done = chained
-
-    def _finish(self, outcome: PlaybackOutcome) -> None:
-        if self._done:
-            return
-        self._done = True
-        self.outcome = outcome
-        self.engine.stop()
-        self.stats.frames_lost = self._reassembler.frames_expired_incomplete
-        self.stats.bytes_received = self._reassembler.bytes_received
+    def _on_finish(self) -> None:
         self._probe_timer.cancel()
-        self._control_timer.cancel()
-        if self._sample_event is not None:
-            self._sample_event.cancel()
-        if self._session is not None:
-            self._session.stop()
-        if self._channel is not None:
-            self._channel.close()
-        if self._on_done is not None:
-            self._on_done(outcome)
-
-    @property
-    def finished(self) -> bool:
-        return self._done
-
-    # -- introspection (read-only, used by repro.validate) ------------------
-
-    @property
-    def reassembler(self) -> Reassembler:
-        """The frame reassembler (read-only audits)."""
-        return self._reassembler
-
-    @property
-    def decoder(self) -> Decoder:
-        """The decoder model (read-only audits)."""
-        return self._decoder
-
-    @property
-    def session(self) -> StreamingSession | None:
-        """The current server streaming session, if one was set up."""
-        return self._session
 
     @property
     def renegotiated(self) -> bool:
@@ -230,36 +76,25 @@ class RealPlayer:
 
     # -- control plane --------------------------------------------------------
 
-    def _send_request(self, request: RtspRequest) -> None:
-        assert self._channel is not None
-        self._pending_request = request
-        self._control_timer.start(self.config.control_timeout_s)
-        self._channel.send_from_client(request)
+    def _opening_request(self) -> RtspRequest:
+        return RtspRequest(RtspMethod.DESCRIBE, self.clip_url)
 
-    def _on_control_timeout(self) -> None:
-        if self._done:
-            return
-        if not self._control_retried and self._pending_request is not None:
-            self._control_retried = True
-            assert self._channel is not None
-            self._control_timer.start(self.config.control_timeout_s)
-            self._channel.send_from_client(self._pending_request)
-            return
-        self._finish(PlaybackOutcome.CONTROL_FAILED)
+    def _setup_request(self, transport: Protocol) -> RtspRequest:
+        return RtspRequest(
+            RtspMethod.SETUP,
+            self.clip_url,
+            transport=transport,
+            client_max_bps=self.config.client_max_bps,
+        )
 
     def _on_control_message(self, message: object) -> None:
         if self._done:
             return
         if isinstance(message, RtspResponse):
-            self._control_timer.cancel()
-            self._pending_request = None
+            self._request_answered()
             self._on_response(message)
         elif isinstance(message, LevelSwitch):
-            self._coded_bps = message.total_bps
-            self._coded_fps = message.frame_rate
-            self.stats.coded_history.append(
-                (self._loop.now, message.total_bps, message.frame_rate)
-            )
+            self._set_coded(message.total_bps, message.frame_rate)
         elif isinstance(message, EndOfStream):
             self.engine.mark_eos(message.final_media_time)
 
@@ -268,13 +103,9 @@ class RealPlayer:
             if response.status is not RtspStatus.OK:
                 self._finish(PlaybackOutcome.UNAVAILABLE)
                 return
-            proposal = Protocol.TCP if self.config.force_tcp else Protocol.UDP
             self._send_request(
-                RtspRequest(
-                    RtspMethod.SETUP,
-                    self.clip_url,
-                    transport=proposal,
-                    client_max_bps=self.config.client_max_bps,
+                self._setup_request(
+                    Protocol.TCP if self.config.force_tcp else Protocol.UDP
                 )
             )
         elif response.method is RtspMethod.SETUP:
@@ -287,9 +118,7 @@ class RealPlayer:
             if response.status is not RtspStatus.OK:
                 self._finish(PlaybackOutcome.CONTROL_FAILED)
                 return
-            self._play_accepted = True
-            if self.engine.state is PlaybackState.IDLE:
-                self.engine.begin_buffering()
+            self._accept_play()
             if self.protocol is Protocol.UDP and not self._udp_fallback_done:
                 self._probe_timer.start(self.config.probe_timeout_s)
         # TEARDOWN responses need no action.
@@ -302,10 +131,7 @@ class RealPlayer:
         if session.tcp is not None:
             session.tcp.on_deliver = self._reassembler.on_payload
         if session.udp is not None:
-            session.udp.on_deliver = self._on_udp_payload
-
-    def _on_udp_payload(self, payload: object, size: int) -> None:
-        self._reassembler.on_payload(payload, size)
+            session.udp.on_deliver = self._reassembler.on_payload
 
     def _on_probe_timeout(self) -> None:
         """UDP delivered (almost) nothing after PLAY: fall back to TCP.
@@ -319,41 +145,4 @@ class RealPlayer:
         ):
             return
         self._udp_fallback_done = True
-        self._send_request(
-            RtspRequest(
-                RtspMethod.SETUP,
-                self.clip_url,
-                transport=Protocol.TCP,
-                client_max_bps=self.config.client_max_bps,
-            )
-        )
-
-    # -- data plane -------------------------------------------------------------
-
-    def _on_frame_complete(self, frame) -> None:
-        self.engine.on_frame_complete(frame)
-
-    def _coded_info(self) -> tuple[float, float]:
-        if self._coded_bps <= 0:
-            return (300_000.0, self._coded_fps)
-        return (self._coded_bps, self._coded_fps)
-
-    # -- timeline sampling --------------------------------------------------------
-
-    def _sample(self) -> None:
-        if self._done:
-            return
-        bytes_now = self._reassembler.bytes_received
-        frames_now = len(self.stats.frame_times)
-        self.stats.samples.append(
-            BandwidthSample(
-                at_s=self._loop.now - self.stats.started_at,
-                bandwidth_bps=(bytes_now - self._last_sample_bytes) * 8.0,
-                frame_rate_fps=float(frames_now - self._last_sample_frames),
-                coded_bandwidth_bps=self._coded_bps,
-                coded_frame_rate_fps=self._coded_fps,
-            )
-        )
-        self._last_sample_bytes = bytes_now
-        self._last_sample_frames = frames_now
-        self._sample_event = self._loop.schedule(1.0, self._sample)
+        self._send_request(self._setup_request(Protocol.TCP))

@@ -294,33 +294,6 @@ class EventLoop:
         finally:
             self._running = False
 
-    def run_while(self, keep_going: Callable[[], bool]) -> None:
-        """Dispatch events while ``keep_going()`` is true.
-
-        The predicate is consulted before every dispatch, so a callback
-        that ends the simulated activity (a player finishing, say)
-        stops the loop even though background processes keep the heap
-        populated forever.  This is the driver's replacement for a
-        Python-level ``while: run_step()`` loop.
-        """
-        if self._running:
-            raise SimulationError("event loop is already running")
-        self._running = True
-        heap = self._heap
-        pop = heapq.heappop
-        strict = self.strict
-        try:
-            while heap and not self._stopped and keep_going():
-                entry = pop(heap)
-                if entry[_CANCELLED]:
-                    continue
-                if strict:
-                    self._check_dispatch(entry)
-                self._now = entry[_TIME]
-                entry[_CALLBACK]()
-        finally:
-            self._running = False
-
     def run_step(self) -> bool:
         """Run the single next pending event.  Returns False if none."""
         heap = self._heap

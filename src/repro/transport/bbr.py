@@ -1,10 +1,10 @@
 """A BBR-style paced sender.
 
 :class:`BbrConnection` is a drop-in alternative to
-:class:`~repro.transport.tcp.TcpConnection`: same reliable in-order
-server-to-client byte stream over a :class:`~repro.net.path.NetworkPath`,
-same receiver (cumulative ACKs with out-of-order buffering) — but the
-sender is model-based instead of loss-based:
+:class:`~repro.transport.tcp.TcpConnection`: the same
+:class:`~repro.transport.stream.ReliableStream` (segments, RTO,
+cumulative ACKs, in-order receiver) — but the congestion controller is
+model-based instead of loss-based:
 
 * transmissions are **paced** at ``pacing_gain × btl_bw`` rather than
   released in cwnd-sized bursts,
@@ -26,24 +26,17 @@ round-trip counts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable
 
-from repro.errors import ConnectionClosedError, TransportError
-from repro.net.packet import Packet, PacketKind
 from repro.net.path import NetworkPath
 from repro.sim.engine import EventLoop, Timer
-from repro.transport.base import MSS_BYTES, allocate_flow_id
-from repro.transport.tcp import MAX_RTO, MIN_RTO, TcpStats
+from repro.transport.base import MSS_BYTES
+from repro.transport.stream import DUPACK_THRESHOLD, ReliableStream, _Segment
 
 #: Initial congestion window, segments (modern RFC 6928 scale).
 INITIAL_CWND = 10.0
 
 #: RTT assumed before the first sample, for the initial pacing rate.
 INITIAL_RTT_S = 0.5
-
-#: Initial retransmission timeout, seconds.
-INITIAL_RTO = 1.0
 
 #: STARTUP/DRAIN pacing gains (2/ln2 and its inverse).
 STARTUP_GAIN = 2.885
@@ -65,48 +58,12 @@ FULL_BW_GROWTH = 1.25
 #: Time window of the btl_bw max filter and min_rtt min filter.
 FILTER_WINDOW_S = 10.0
 
-#: Duplicate ACKs that trigger a retransmission of the hole.
-DUPACK_THRESHOLD = 3
 
-
-@dataclass
-class _Segment:
-    """Sender-side bookkeeping for one in-flight segment."""
-
-    seq: int
-    size: int
-    payload: Any
-    sent_at: float
-    #: Bytes delivered when this segment was (last) sent, for the
-    #: delivery-rate sample on its ACK.
-    delivered_at_send: int = 0
-    retransmitted: bool = False
-
-
-class BbrConnection:
-    """Reliable, BBR-paced server-to-client byte stream."""
+class BbrConnection(ReliableStream):
+    """Reliable, BBR-paced server-to-client stream."""
 
     def __init__(self, loop: EventLoop, path: NetworkPath) -> None:
-        self._loop = loop
-        self._path = path
-        self.flow_id = allocate_flow_id()
-        self.stats = TcpStats()
-        self._closed = False
-
-        # Sender state (attribute names match TcpConnection where the
-        # validate-layer audits introspect them).
-        self._send_queue: deque[tuple[Any, int]] = deque()
-        self._next_seq = 0
-        self._highest_acked = -1  # cumulative: all seq <= this are acked
-        self._in_flight: dict[int, _Segment] = {}
-        self._dupacks = 0
-        self._srtt: float | None = None
-        self._rttvar = 0.0
-        self._rto = INITIAL_RTO
-        self._rto_timer = Timer(loop, self._on_timeout)
-        self._backlog_bytes = 0
-
-        # BBR model state.
+        super().__init__(loop, path, INITIAL_CWND)
         self._mode = "startup"
         self._delivered_bytes = 0
         self._bw_samples: deque[tuple[float, float]] = deque()
@@ -120,70 +77,11 @@ class BbrConnection:
         self._cycle_stamp = 0.0
         self._pacing_gain = STARTUP_GAIN
         self._cwnd_gain = STARTUP_GAIN
-        self._cwnd = INITIAL_CWND
         self._pacing_rate_bps = (
             STARTUP_GAIN * INITIAL_CWND * MSS_BYTES * 8.0 / INITIAL_RTT_S
         )
         self._next_send_at = 0.0
-        self._pacing_timer = Timer(loop, self._pacing_due)
-
-        # Receiver state.
-        self._expected_seq = 0
-        self._reorder_buffer: dict[int, tuple[Any, int]] = {}
-        self.on_deliver: Callable[[Any, int], None] | None = None
-
-        path.server_endpoint.register(self.flow_id, self._on_ack_packet)
-        path.client_endpoint.register(self.flow_id, self._on_data_packet)
-
-    # -- public API -------------------------------------------------------
-
-    def send(self, payload: Any, size: int) -> None:
-        """Queue one application message (at most one MSS) for delivery."""
-        if self._closed:
-            raise ConnectionClosedError("send on closed BBR connection")
-        if size > MSS_BYTES:
-            raise TransportError(
-                f"application message of {size} bytes exceeds MSS {MSS_BYTES}"
-            )
-        if size <= 0:
-            raise TransportError(f"message size must be positive, got {size}")
-        self._send_queue.append((payload, size))
-        self._backlog_bytes += size
-        self._try_send()
-
-    def close(self) -> None:
-        """Tear the connection down; pending data is abandoned."""
-        if self._closed:
-            return
-        self._closed = True
-        self._rto_timer.cancel()
-        self._pacing_timer.cancel()
-        self._path.server_endpoint.unregister(self.flow_id)
-        self._path.client_endpoint.unregister(self.flow_id)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def backlog_bytes(self) -> int:
-        """Bytes queued or in flight but not yet acknowledged."""
-        return self._backlog_bytes
-
-    @property
-    def cwnd_segments(self) -> float:
-        """Current congestion window, in segments."""
-        return self._cwnd
-
-    @property
-    def smoothed_rtt(self) -> float | None:
-        """Smoothed RTT estimate in seconds, or None before a sample."""
-        return self._srtt
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, seconds."""
-        return self._rto
+        self._pacing_timer = Timer(loop, self._try_send)
 
     @property
     def delivery_rate_bps(self) -> float:
@@ -195,134 +93,54 @@ class BbrConnection:
         """Current BBR state: ``startup``, ``drain`` or ``probe_bw``."""
         return self._mode
 
-    # -- sender: paced release --------------------------------------------
+    # -- paced release ----------------------------------------------------
 
-    def _flight_size(self) -> int:
-        return len(self._in_flight)
-
-    def _try_send(self) -> None:
-        while (
-            not self._closed
-            and self._send_queue
-            and self._flight_size() < int(self._cwnd)
-        ):
-            now = self._loop.now
-            if now + 1e-12 < self._next_send_at:
-                if not self._pacing_timer.armed:
-                    self._pacing_timer.start(self._next_send_at - now)
-                return
-            payload, size = self._send_queue.popleft()
-            segment = _Segment(
-                seq=self._next_seq,
-                size=size,
-                payload=payload,
-                sent_at=now,
-                delivered_at_send=self._delivered_bytes,
-            )
-            self._next_seq += 1
-            self._in_flight[segment.seq] = segment
-            self._transmit(segment)
-            gap = size * 8.0 / max(1.0, self._pacing_rate_bps)
-            self._next_send_at = max(now, self._next_send_at) + gap
-
-    def _pacing_due(self) -> None:
-        self._try_send()
-
-    def _transmit(self, segment: _Segment) -> None:
-        packet = Packet(
-            kind=PacketKind.DATA,
-            size=segment.size,
-            flow_id=self.flow_id,
-            seq=segment.seq,
-            payload=segment.payload,
-        )
-        self.stats.segments_sent += 1
-        if segment.retransmitted:
-            self.stats.segments_retransmitted += 1
-        self._path.send_to_client(packet)
-        if not self._rto_timer.armed:
-            self._rto_timer.start(self._rto)
-
-    # -- sender: ACK processing and the BBR model -------------------------
-
-    def _on_ack_packet(self, packet: Packet) -> None:
-        if packet.kind is not PacketKind.ACK or self._closed:
-            return
-        self.stats.acks_received += 1
-        ack_seq = packet.seq  # cumulative: next expected segment
-        newly_acked = ack_seq - 1
-        if newly_acked > self._highest_acked:
-            self._handle_new_ack(newly_acked)
-        elif ack_seq == self._highest_acked + 1 and self._in_flight:
-            self._handle_dupack()
-        self._try_send()
-
-    def _handle_new_ack(self, newly_acked: int) -> None:
+    def _may_send_now(self) -> bool:
         now = self._loop.now
-        for seq in range(self._highest_acked + 1, newly_acked + 1):
-            segment = self._in_flight.pop(seq, None)
-            if segment is None:
-                continue
-            self._backlog_bytes -= segment.size
+        if now + 1e-12 < self._next_send_at:
+            if not self._pacing_timer.armed:
+                self._pacing_timer.start(self._next_send_at - now)
+            return False
+        return True
+
+    def _on_segment_sent(self, segment: _Segment) -> None:
+        segment.delivered_at_send = self._delivered_bytes
+        gap = segment.size * 8.0 / max(1.0, self._pacing_rate_bps)
+        self._next_send_at = max(segment.sent_at, self._next_send_at) + gap
+
+    def _on_close(self) -> None:
+        self._pacing_timer.cancel()
+
+    # -- loss: repair, no rate collapse -----------------------------------
+
+    def _on_dupack(self) -> bool:
+        # Retransmit the hole after every three duplicate ACKs and
+        # leave the model untouched (the lost segment simply
+        # contributes no delivery-rate sample).  An RTO likewise only
+        # repairs: there is no ``_on_rto`` override.
+        if self._dupacks != DUPACK_THRESHOLD:
+            return False
+        self._dupacks = 0
+        return True
+
+    # -- the BBR model ----------------------------------------------------
+
+    def _on_new_ack(self, acked: list[_Segment], now: float) -> None:
+        for segment in acked:
             self._delivered_bytes += segment.size
             if not segment.retransmitted:
+                # (The RTO estimator in the core has its own RTT
+                # sample; the model uses the windowed-min filter.)
                 rtt = now - segment.sent_at
-                self._sample_rtt(rtt)
                 self._rtt_samples.append((now, rtt))
-                elapsed = now - segment.sent_at
-                if elapsed > 0:
+                if rtt > 0:
                     rate = (
                         (self._delivered_bytes - segment.delivered_at_send)
                         * 8.0
-                        / elapsed
+                        / rtt
                     )
                     self._bw_samples.append((now, rate))
-        self._highest_acked = newly_acked
-        self._dupacks = 0
         self._update_model(now)
-
-        if self._in_flight:
-            self._rto_timer.start(self._rto)
-        else:
-            self._rto_timer.cancel()
-
-    def _handle_dupack(self) -> None:
-        # Loss repair without rate collapse: retransmit the hole after
-        # three duplicate ACKs and leave the model untouched (the lost
-        # segment simply contributes no delivery-rate sample).
-        self._dupacks += 1
-        if self._dupacks == DUPACK_THRESHOLD:
-            self.stats.fast_retransmits += 1
-            self._dupacks = 0
-            segment = self._in_flight.get(self._highest_acked + 1)
-            if segment is not None:
-                segment.retransmitted = True
-                segment.sent_at = self._loop.now
-                self._transmit(segment)
-
-    def _on_timeout(self) -> None:
-        if self._closed or not self._in_flight:
-            return
-        self.stats.timeouts += 1
-        self._rto = min(self._rto * 2.0, MAX_RTO)
-        self._dupacks = 0
-        lost_seq = min(self._in_flight)
-        segment = self._in_flight[lost_seq]
-        segment.retransmitted = True
-        segment.sent_at = self._loop.now
-        self._transmit(segment)
-        self._rto_timer.start(self._rto)
-
-    def _sample_rtt(self, rtt: float) -> None:
-        # RFC 6298 estimators (for the retransmission timer only; the
-        # model uses the windowed-min filter below).
-        if self._srtt is None:
-            self._srtt = rtt
-            self._rttvar = rtt / 2.0
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
-            self._srtt = 0.875 * self._srtt + 0.125 * rtt
-        self._rto = min(max(self._srtt + 4.0 * self._rttvar, MIN_RTO), MAX_RTO)
 
     def _update_model(self, now: float) -> None:
         horizon = now - FILTER_WINDOW_S
@@ -375,26 +193,3 @@ class BbrConnection:
 
     def _flight_bytes(self) -> int:
         return sum(segment.size for segment in self._in_flight.values())
-
-    # -- receiver ---------------------------------------------------------
-
-    def _on_data_packet(self, packet: Packet) -> None:
-        if packet.kind is not PacketKind.DATA or self._closed:
-            return
-        seq = packet.seq
-        if seq >= self._expected_seq and seq not in self._reorder_buffer:
-            self._reorder_buffer[seq] = (packet.payload, packet.size)
-        while self._expected_seq in self._reorder_buffer:
-            payload, size = self._reorder_buffer.pop(self._expected_seq)
-            self._expected_seq += 1
-            self.stats.bytes_delivered += size
-            self.stats.messages_delivered += 1
-            if self.on_deliver is not None:
-                self.on_deliver(payload, size)
-        ack = Packet(
-            kind=PacketKind.ACK,
-            size=0,
-            flow_id=self.flow_id,
-            seq=self._expected_seq,
-        )
-        self._path.send_to_server(ack)

@@ -1,35 +1,26 @@
 """A Reno-style TCP model.
 
-One :class:`TcpConnection` moves application messages reliably and in
-order from the *server* side of a :class:`~repro.net.path.NetworkPath`
-to the *client* side (the direction RealVideo data flows).  The model
-implements the congestion-control behavior that matters for the paper's
-analysis:
+:class:`TcpConnection` is the :class:`~repro.transport.stream.ReliableStream`
+(segments, RTO with Karn's algorithm and exponential backoff,
+cumulative ACKs, in-order receiver) under Reno congestion control — the
+behavior that matters for the paper's analysis:
 
 * slow start and congestion avoidance (AIMD),
-* fast retransmit on three duplicate ACKs, with fast recovery,
-* retransmission timeouts with exponential backoff (Karn's algorithm
-  for RTT sampling),
-* cumulative ACKs with out-of-order buffering at the receiver.
+* fast retransmit on three duplicate ACKs, with fast recovery and
+  NewReno partial-ACK repair,
+* window collapse to one segment on a retransmission timeout.
 
-Application messages are at most one MSS and map 1:1 to segments; the
-media packetizer guarantees this.  The server's streaming session
-watches :attr:`TcpConnection.backlog_bytes` to detect when TCP cannot
-keep up with the encoded rate (the signal RealServer uses to switch
-SureStream levels when streaming over TCP).
+The server's streaming session watches
+:attr:`TcpConnection.backlog_bytes` to detect when TCP cannot keep up
+with the encoded rate (the signal RealServer uses to switch SureStream
+levels when streaming over TCP).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable
-
-from repro.errors import ConnectionClosedError, TransportError
-from repro.net.packet import Packet, PacketKind
 from repro.net.path import NetworkPath
-from repro.sim.engine import EventLoop, Timer
-from repro.transport.base import MSS_BYTES, allocate_flow_id
+from repro.sim.engine import EventLoop
+from repro.transport.stream import DUPACK_THRESHOLD, ReliableStream, _Segment
 
 #: Initial congestion window, segments (RFC 2581 era).
 INITIAL_CWND = 2.0
@@ -37,290 +28,46 @@ INITIAL_CWND = 2.0
 #: Initial slow-start threshold, segments ("infinite" start).
 INITIAL_SSTHRESH = 64.0
 
-#: Initial retransmission timeout, seconds.
-INITIAL_RTO = 1.0
 
-#: RTO bounds, seconds.  The backoff ceiling is kept low: RealPlayer's
-#: streaming TCP sessions are long-lived interactive flows, and a
-#: 16-second silent backoff would dwarf the playout buffer.
-MIN_RTO = 0.2
-MAX_RTO = 4.0
-
-#: Duplicate ACKs that trigger fast retransmit.
-DUPACK_THRESHOLD = 3
-
-
-@dataclass
-class _Segment:
-    """Sender-side bookkeeping for one in-flight segment."""
-
-    seq: int
-    size: int
-    payload: Any
-    sent_at: float
-    retransmitted: bool = False
-
-
-@dataclass
-class TcpStats:
-    """Counters for the analysis layer."""
-
-    segments_sent: int = 0
-    segments_retransmitted: int = 0
-    bytes_delivered: int = 0
-    messages_delivered: int = 0
-    fast_retransmits: int = 0
-    timeouts: int = 0
-    acks_received: int = 0
-
-    @property
-    def retransmission_rate(self) -> float:
-        """Fraction of segment transmissions that were retransmissions."""
-        if self.segments_sent == 0:
-            return 0.0
-        return self.segments_retransmitted / self.segments_sent
-
-
-class TcpConnection:
-    """Reliable, congestion-controlled server-to-client byte stream."""
+class TcpConnection(ReliableStream):
+    """Reliable, Reno congestion-controlled server-to-client stream."""
 
     def __init__(self, loop: EventLoop, path: NetworkPath) -> None:
-        self._loop = loop
-        self._path = path
-        self.flow_id = allocate_flow_id()
-        self.stats = TcpStats()
-        self._closed = False
-
-        # Sender state.
-        self._send_queue: deque[tuple[Any, int]] = deque()
-        self._next_seq = 0
-        self._highest_acked = -1  # cumulative: all seq <= this are acked
-        self._in_flight: dict[int, _Segment] = {}
-        self._cwnd = INITIAL_CWND
+        super().__init__(loop, path, INITIAL_CWND)
         self._ssthresh = INITIAL_SSTHRESH
-        self._dupacks = 0
         self._in_recovery = False
         self._recovery_point = -1
-        self._srtt: float | None = None
-        self._rttvar = 0.0
-        self._rto = INITIAL_RTO
-        self._rto_timer = Timer(loop, self._on_timeout)
-        self._backlog_bytes = 0
 
-        # Receiver state.
-        self._expected_seq = 0
-        self._reorder_buffer: dict[int, tuple[Any, int]] = {}
-        self.on_deliver: Callable[[Any, int], None] | None = None
-
-        path.server_endpoint.register(self.flow_id, self._on_ack_packet)
-        path.client_endpoint.register(self.flow_id, self._on_data_packet)
-
-    # -- public API -------------------------------------------------------
-
-    def send(self, payload: Any, size: int) -> None:
-        """Queue one application message (at most one MSS) for delivery."""
-        if self._closed:
-            raise ConnectionClosedError("send on closed TCP connection")
-        if size > MSS_BYTES:
-            raise TransportError(
-                f"application message of {size} bytes exceeds MSS {MSS_BYTES}"
-            )
-        if size <= 0:
-            raise TransportError(f"message size must be positive, got {size}")
-        self._send_queue.append((payload, size))
-        self._backlog_bytes += size
-        self._try_send()
-
-    def close(self) -> None:
-        """Tear the connection down; pending data is abandoned."""
-        if self._closed:
-            return
-        self._closed = True
-        self._rto_timer.cancel()
-        self._path.server_endpoint.unregister(self.flow_id)
-        self._path.client_endpoint.unregister(self.flow_id)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def backlog_bytes(self) -> int:
-        """Bytes queued or in flight but not yet acknowledged.
-
-        The streaming session reads this as its congestion signal: a
-        growing backlog means TCP's achieved rate is below the media
-        rate.
-        """
-        return self._backlog_bytes
-
-    @property
-    def cwnd_segments(self) -> float:
-        """Current congestion window, in segments."""
-        return self._cwnd
-
-    @property
-    def smoothed_rtt(self) -> float | None:
-        """Smoothed RTT estimate in seconds, or None before a sample."""
-        return self._srtt
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, seconds."""
-        return self._rto
-
-    # -- sender -----------------------------------------------------------
-
-    def _flight_size(self) -> int:
-        return len(self._in_flight)
-
-    def _try_send(self) -> None:
-        while (
-            not self._closed
-            and self._send_queue
-            and self._flight_size() < int(self._cwnd)
-        ):
-            payload, size = self._send_queue.popleft()
-            segment = _Segment(
-                seq=self._next_seq,
-                size=size,
-                payload=payload,
-                sent_at=self._loop.now,
-            )
-            self._next_seq += 1
-            self._in_flight[segment.seq] = segment
-            self._transmit(segment)
-
-    def _transmit(self, segment: _Segment) -> None:
-        packet = Packet(
-            kind=PacketKind.DATA,
-            size=segment.size,
-            flow_id=self.flow_id,
-            seq=segment.seq,
-            payload=segment.payload,
-        )
-        self.stats.segments_sent += 1
-        if segment.retransmitted:
-            self.stats.segments_retransmitted += 1
-        self._path.send_to_client(packet)
-        if not self._rto_timer.armed:
-            self._rto_timer.start(self._rto)
-
-    def _on_ack_packet(self, packet: Packet) -> None:
-        if packet.kind is not PacketKind.ACK or self._closed:
-            return
-        self.stats.acks_received += 1
-        ack_seq = packet.seq  # cumulative: next expected segment
-        newly_acked = ack_seq - 1  # highest segment the receiver has
-        if newly_acked > self._highest_acked:
-            self._handle_new_ack(newly_acked)
-        elif ack_seq == self._highest_acked + 1 and self._in_flight:
-            self._handle_dupack()
-        self._try_send()
-
-    def _handle_new_ack(self, newly_acked: int) -> None:
-        acked_count = 0
-        for seq in range(self._highest_acked + 1, newly_acked + 1):
-            segment = self._in_flight.pop(seq, None)
-            if segment is None:
-                continue
-            acked_count += 1
-            self._backlog_bytes -= segment.size
-            if not segment.retransmitted:
-                self._sample_rtt(self._loop.now - segment.sent_at)
-        self._highest_acked = newly_acked
-        self._dupacks = 0
-
+    def _on_new_ack(self, acked: list[_Segment], now: float) -> None:
         if self._in_recovery:
-            if newly_acked >= self._recovery_point:
+            if self._highest_acked >= self._recovery_point:
                 # Full ACK: leave recovery, deflate the window.
                 self._in_recovery = False
                 self._cwnd = self._ssthresh
             else:
                 # Partial ACK (NewReno): retransmit the next hole.
-                next_hole = newly_acked + 1
-                segment = self._in_flight.get(next_hole)
-                if segment is not None:
-                    segment.retransmitted = True
-                    segment.sent_at = self._loop.now
-                    self._transmit(segment)
+                self._retransmit(self._highest_acked + 1)
         else:
-            for _ in range(acked_count):
+            for _ in acked:
                 if self._cwnd < self._ssthresh:
                     self._cwnd += 1.0  # slow start
                 else:
                     self._cwnd += 1.0 / self._cwnd  # congestion avoidance
 
-        if self._in_flight:
-            self._rto_timer.start(self._rto)
-        else:
-            self._rto_timer.cancel()
-
-    def _handle_dupack(self) -> None:
-        self._dupacks += 1
+    def _on_dupack(self) -> bool:
         if self._in_recovery:
             # Window inflation keeps data flowing during recovery.
             self._cwnd += 1.0
-            return
-        if self._dupacks == DUPACK_THRESHOLD:
-            self.stats.fast_retransmits += 1
-            lost_seq = self._highest_acked + 1
-            segment = self._in_flight.get(lost_seq)
-            self._ssthresh = max(self._flight_size() / 2.0, 2.0)
-            self._cwnd = self._ssthresh + DUPACK_THRESHOLD
-            self._in_recovery = True
-            self._recovery_point = self._next_seq - 1
-            if segment is not None:
-                segment.retransmitted = True
-                segment.sent_at = self._loop.now
-                self._transmit(segment)
+            return False
+        if self._dupacks != DUPACK_THRESHOLD:
+            return False
+        self._ssthresh = max(len(self._in_flight) / 2.0, 2.0)
+        self._cwnd = self._ssthresh + DUPACK_THRESHOLD
+        self._in_recovery = True
+        self._recovery_point = self._next_seq - 1
+        return True
 
-    def _on_timeout(self) -> None:
-        if self._closed or not self._in_flight:
-            return
-        self.stats.timeouts += 1
-        self._ssthresh = max(self._flight_size() / 2.0, 2.0)
+    def _on_rto(self) -> None:
+        self._ssthresh = max(len(self._in_flight) / 2.0, 2.0)
         self._cwnd = 1.0
-        self._dupacks = 0
         self._in_recovery = False
-        self._rto = min(self._rto * 2.0, MAX_RTO)
-        lost_seq = min(self._in_flight)
-        segment = self._in_flight[lost_seq]
-        segment.retransmitted = True
-        segment.sent_at = self._loop.now
-        self._transmit(segment)
-        self._rto_timer.start(self._rto)
-
-    def _sample_rtt(self, rtt: float) -> None:
-        # RFC 6298 estimators.
-        if self._srtt is None:
-            self._srtt = rtt
-            self._rttvar = rtt / 2.0
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt)
-            self._srtt = 0.875 * self._srtt + 0.125 * rtt
-        self._rto = min(max(self._srtt + 4.0 * self._rttvar, MIN_RTO), MAX_RTO)
-
-    # -- receiver ---------------------------------------------------------
-
-    def _on_data_packet(self, packet: Packet) -> None:
-        if packet.kind is not PacketKind.DATA or self._closed:
-            return
-        seq = packet.seq
-        if seq >= self._expected_seq and seq not in self._reorder_buffer:
-            self._reorder_buffer[seq] = (packet.payload, packet.size)
-        # Deliver any now-contiguous prefix.
-        while self._expected_seq in self._reorder_buffer:
-            payload, size = self._reorder_buffer.pop(self._expected_seq)
-            self._expected_seq += 1
-            self.stats.bytes_delivered += size
-            self.stats.messages_delivered += 1
-            if self.on_deliver is not None:
-                self.on_deliver(payload, size)
-        ack = Packet(
-            kind=PacketKind.ACK,
-            size=0,
-            flow_id=self.flow_id,
-            seq=self._expected_seq,
-        )
-        self._path.send_to_server(ack)

@@ -147,9 +147,9 @@ class UdpFlow:
         cache[seq] = (payload, size, kind)
         if len(cache) > RETRANSMIT_CACHE:
             del cache[next(iter(cache))]
-        self._transmit(seq, payload, size, kind, retransmission=False)
+        self._send_datagram(seq, payload, size, kind, retransmission=False)
 
-    def _transmit(
+    def _send_datagram(
         self,
         seq: int,
         payload: Any,
@@ -204,7 +204,7 @@ class UdpFlow:
                     payload, size, kind = cached
                     if not self._retransmit_allowed(size):
                         break
-                    self._transmit(seq, payload, size, kind, retransmission=True)
+                    self._send_datagram(seq, payload, size, kind, retransmission=True)
             return
         self.stats.reports_received += 1
         if self.on_report is not None:

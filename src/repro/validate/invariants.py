@@ -41,9 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.records import ClipRecord
     from repro.net.link import Link
     from repro.net.path import NetworkPath
-    from repro.player.realplayer import RealPlayer
+    from repro.player.core import PlayerCore
     from repro.server.session import StreamingSession
-    from repro.transport.tcp import TcpConnection
+    from repro.transport.stream import ReliableStream
     from repro.transport.udp import UdpFlow
 
 #: The highest encoded frame rate any SureStream ladder produces
@@ -141,7 +141,7 @@ def audit_path(ledger: ValidationLedger, path: "NetworkPath") -> None:
 # -- media: frame conservation through the client stack -------------------
 
 
-def audit_player(ledger: ValidationLedger, player: "RealPlayer") -> None:
+def audit_player(ledger: ValidationLedger, player: "PlayerCore") -> None:
     """Frames encoded = displayed + discarded + still-buffered."""
     reassembler = player.reassembler
     engine = player.engine
@@ -195,7 +195,7 @@ def audit_player(ledger: ValidationLedger, player: "RealPlayer") -> None:
 def audit_session(
     ledger: ValidationLedger,
     session: "StreamingSession",
-    player: "RealPlayer",
+    player: "PlayerCore",
 ) -> None:
     """Server-side bound: the client cannot observe frames that were
     never sent.  Only meaningful when the data channel was not
@@ -231,9 +231,10 @@ def audit_session(
 # -- transport: sequence-number and backlog invariants --------------------
 
 
-def audit_tcp(ledger: ValidationLedger, conn: "TcpConnection") -> None:
-    """TCP delivers a contiguous in-order prefix; backlog bookkeeping
-    must equal what is actually queued plus in flight."""
+def audit_tcp(ledger: ValidationLedger, conn: "ReliableStream") -> None:
+    """The stream core (under any congestion controller) delivers a
+    contiguous in-order prefix; backlog bookkeeping must equal what is
+    actually queued plus in flight."""
     stats = conn.stats
     ledger.check(
         stats.messages_delivered == conn._expected_seq,
@@ -416,7 +417,7 @@ def validate_record(ledger: ValidationLedger, record: "ClipRecord") -> None:
 def audit_playback(
     ledger: ValidationLedger,
     config: ValidationConfig,
-    player: "RealPlayer",
+    player: "PlayerCore",
     path: "NetworkPath",
     record: "ClipRecord",
 ) -> None:

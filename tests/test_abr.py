@@ -24,6 +24,7 @@ from repro.transport.base import Protocol
 from repro.transport.bbr import BbrConnection
 from repro.units import kbps
 from repro.world.scenarios import configured, get_scenario
+from tests.test_transport_tcp import run_transfer
 
 
 # ---------------------------------------------------------------------------
@@ -145,53 +146,32 @@ class TestLadderSubsampling:
 # ---------------------------------------------------------------------------
 
 
-def bbr_transfer(loop, path, count, size=1000, until=None):
-    conn = BbrConnection(loop, path)
-    delivered = []
-    conn.on_deliver = lambda payload, sz: delivered.append(payload)
-    for i in range(count):
-        conn.send(i, size)
-    if until is None:
-        loop.run()
-    else:
-        loop.run(until=until)
-    return conn, delivered
+def bbr_transfer(loop, path, count, until=None):
+    conn, _delivered = run_transfer(
+        loop, path, count, until=until, sender=BbrConnection
+    )
+    return conn
 
 
 class TestBbrConnection:
-    def test_delivers_all_in_order_on_clean_path(self, loop, clean_path):
-        conn, delivered = bbr_transfer(loop, clean_path, 100)
-        assert delivered == list(range(100))
-        assert conn.stats.bytes_delivered == 100 * 1000
-
-    def test_delivers_all_in_order_on_lossy_path(self, loop, lossy_path):
-        conn, delivered = bbr_transfer(loop, lossy_path, 200, until=120.0)
-        assert delivered == list(range(200))
+    """The BBR model only: reliability, ordering and the API contract
+    are the stream core's, covered for both senders in
+    `test_transport_tcp.py`."""
 
     def test_loss_repaired_without_rate_collapse(self, loop, lossy_path):
-        conn, delivered = bbr_transfer(loop, lossy_path, 200, until=120.0)
+        conn = bbr_transfer(loop, lossy_path, 200, until=120.0)
         assert conn.stats.segments_retransmitted > 0
         # BBR's model is rate-based: losses are repaired but the
         # delivery-rate estimate stays pinned to the bottleneck.
         assert conn.delivery_rate_bps > 0
 
     def test_reaches_probe_bw_on_a_long_transfer(self, loop, clean_path):
-        conn, _ = bbr_transfer(loop, clean_path, 400)
+        conn = bbr_transfer(loop, clean_path, 400)
         assert conn.mode == "probe_bw"
 
-    def test_rtt_and_model_estimated(self, loop, clean_path):
-        conn, _ = bbr_transfer(loop, clean_path, 50)
-        assert conn.smoothed_rtt is not None
-        assert conn.smoothed_rtt >= clean_path.base_rtt_s * 0.9
+    def test_delivery_rate_estimated(self, loop, clean_path):
+        conn = bbr_transfer(loop, clean_path, 50)
         assert conn.delivery_rate_bps > 0
-
-    def test_audit_surface_matches_reno(self, loop, clean_path):
-        """`repro.validate.audit_tcp` introspects Reno's private
-        attribute names; the BBR variant must expose the same ones."""
-        conn = BbrConnection(loop, clean_path)
-        for name in ("_send_queue", "_in_flight", "_next_seq",
-                     "_highest_acked", "_expected_seq", "stats"):
-            assert hasattr(conn, name), name
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +318,20 @@ def _csv_digest(csv_text: str) -> str:
     return hashlib.sha256(csv_text.encode()).hexdigest()
 
 
+#: sha256 of the serial study CSVs below (seed 2001, scale 0.05),
+#: generated at the commit before the transport/player cores were
+#: split out.  With the RDT/Reno goldens and the `TcpStats` pins in
+#: `test_transport_tcp.py` these localise a drift: goldens move ->
+#: player core or Reno; only these move -> the ABR front end; only the
+#: BBR one moves -> the BBR controller.
+DASH_ABR_CSV_SHA256 = (
+    "5f179d88ff8ea524a6128287a89443caa10872343cd4a680d0bc94ef7db6ea64"
+)  # dash-abr, max_users=10
+DASH_ABR_BBR_CSV_SHA256 = (
+    "58004e52ae9a0934ee233f7036af7cfa344eda117aacb6b3aac7bb5e9367e178"
+)  # dash-abr-bbr, max_users=6
+
+
 @pytest.fixture(scope="module")
 def dash_serial_csv() -> str:
     return Study(_dash_config()).run().to_csv_string()
@@ -390,6 +384,9 @@ class TestDashAbrDeterminism:
     """The determinism matrix for the modern stack: same seed, any
     worker count, fresh or kill+resumed — one sha256."""
 
+    def test_serial_csv_matches_pin(self, dash_serial_csv):
+        assert _csv_digest(dash_serial_csv) == DASH_ABR_CSV_SHA256
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_counts_hash_identical(self, workers, dash_serial_csv):
         result = run_study(
@@ -433,6 +430,7 @@ class TestDashAbrDeterminism:
     def test_bbr_variant_parallel_matches_serial(self):
         config = _dash_config(scenario="dash-abr-bbr", max_users=6)
         serial = Study(config).run().to_csv_string()
+        assert _csv_digest(serial) == DASH_ABR_BBR_CSV_SHA256
         parallel = run_study(
             config, RuntimeConfig(workers=2, shard_count=3)
         ).dataset.to_csv_string()

@@ -1,4 +1,6 @@
-"""TCP model: reliability, ordering, congestion control."""
+"""The reliable stream under both senders (reliability, ordering, API
+contract — one suite, parametrized over Reno and BBR), plus Reno's
+congestion control."""
 
 import pytest
 
@@ -6,13 +8,22 @@ from repro.errors import ConnectionClosedError, TransportError
 from repro.net.packet import Packet, PacketKind
 from repro.net.path import NetworkPath, PathProfile
 from repro.transport.base import MSS_BYTES
+from repro.transport.bbr import BbrConnection
 from repro.transport.tcp import INITIAL_CWND, TcpConnection
 from repro.units import kbps
 
 
-def run_transfer(loop, path, count, size=1000, until=None):
+@pytest.fixture(params=[TcpConnection, BbrConnection], ids=["reno", "bbr"])
+def sender(request):
+    """The sender class under test: everything that takes this fixture
+    is the stream core's contract, whatever the congestion controller."""
+    return request.param
+
+
+def run_transfer(loop, path, count, size=1000, until=None,
+                 sender=TcpConnection):
     """Send `count` messages; return the delivered payload list."""
-    conn = TcpConnection(loop, path)
+    conn = sender(loop, path)
     delivered = []
     conn.on_deliver = lambda payload, sz: delivered.append(payload)
     for i in range(count):
@@ -24,38 +35,67 @@ def run_transfer(loop, path, count, size=1000, until=None):
     return conn, delivered
 
 
+#: `TcpStats` (segments_sent, segments_retransmitted, fast_retransmits,
+#: timeouts, acks_received) of 800 x 1000 B over `lossy_path` (rng seed
+#: 42), generated at the commit before the senders were split into
+#: stream core + controller.  A drift here is a transport-layer drift.
+BULK_STATS_PINS = {
+    TcpConnection: (826, 26, 15, 6, 794),
+    BbrConnection: (905, 105, 98, 7, 849),
+}
+
+
 class TestReliableDelivery:
-    def test_delivers_all_in_order_on_clean_path(self, loop, clean_path):
-        conn, delivered = run_transfer(loop, clean_path, 100)
+    def test_delivers_all_in_order_on_clean_path(self, loop, clean_path,
+                                                 sender):
+        conn, delivered = run_transfer(loop, clean_path, 100, sender=sender)
         assert delivered == list(range(100))
         assert conn.stats.messages_delivered == 100
 
-    def test_delivers_all_in_order_on_lossy_path(self, loop, lossy_path):
-        conn, delivered = run_transfer(loop, lossy_path, 200, until=120.0)
+    def test_delivers_all_in_order_on_lossy_path(self, loop, lossy_path,
+                                                 sender):
+        conn, delivered = run_transfer(loop, lossy_path, 200, until=120.0,
+                                       sender=sender)
         assert delivered == list(range(200))
 
-    def test_retransmissions_happen_under_loss(self, loop, lossy_path):
-        conn, delivered = run_transfer(loop, lossy_path, 200, until=120.0)
+    def test_retransmissions_happen_under_loss(self, loop, lossy_path,
+                                               sender):
+        conn, delivered = run_transfer(loop, lossy_path, 200, until=120.0,
+                                       sender=sender)
         assert conn.stats.segments_retransmitted > 0
         assert (
             conn.stats.fast_retransmits > 0 or conn.stats.timeouts > 0
         )
 
-    def test_bytes_delivered_counted(self, loop, clean_path):
-        conn, _ = run_transfer(loop, clean_path, 10, size=500)
+    def test_bytes_delivered_counted(self, loop, clean_path, sender):
+        conn, _ = run_transfer(loop, clean_path, 10, size=500, sender=sender)
         assert conn.stats.bytes_delivered == 5000
+
+    def test_rtt_estimated(self, loop, clean_path, sender):
+        conn, _ = run_transfer(loop, clean_path, 20, sender=sender)
+        assert conn.smoothed_rtt is not None
+        # Must at least cover the propagation RTT.
+        assert conn.smoothed_rtt >= clean_path.base_rtt_s * 0.9
+
+    def test_seeded_bulk_transfer_stats_pinned(self, loop, lossy_path,
+                                               sender):
+        conn, delivered = run_transfer(loop, lossy_path, 800, until=600.0,
+                                       sender=sender)
+        assert delivered == list(range(800))
+        stats = conn.stats
+        assert (
+            stats.segments_sent,
+            stats.segments_retransmitted,
+            stats.fast_retransmits,
+            stats.timeouts,
+            stats.acks_received,
+        ) == BULK_STATS_PINS[sender]
 
 
 class TestCongestionControl:
     def test_cwnd_grows_from_initial(self, loop, clean_path):
         conn, _ = run_transfer(loop, clean_path, 50)
         assert conn.cwnd_segments > INITIAL_CWND
-
-    def test_rtt_estimated(self, loop, clean_path):
-        conn, _ = run_transfer(loop, clean_path, 20)
-        assert conn.smoothed_rtt is not None
-        # Must at least cover the propagation RTT.
-        assert conn.smoothed_rtt >= clean_path.base_rtt_s * 0.9
 
     def test_loss_reduces_cwnd(self, loop, rng):
         # A tiny bottleneck queue forces congestive drops.
@@ -109,14 +149,28 @@ class TestCongestionControl:
 
 
 class TestBacklog:
-    def test_backlog_tracks_unacked_data(self, loop, clean_path):
-        conn = TcpConnection(loop, clean_path)
+    def test_backlog_tracks_unacked_data(self, loop, clean_path, sender):
+        conn = sender(loop, clean_path)
         conn.on_deliver = lambda p, s: None
         for i in range(10):
             conn.send(i, 1000)
         assert conn.backlog_bytes == 10_000
         loop.run()
         assert conn.backlog_bytes == 0
+
+    def test_backlog_conserved_mid_transfer(self, loop, lossy_path, sender):
+        """`backlog_bytes` is exactly queued + in flight at any moment,
+        holes and retransmissions included (what `audit_tcp` checks at
+        the end of a playback, here checked while data is moving)."""
+        conn = sender(loop, lossy_path)
+        conn.on_deliver = lambda p, s: None
+        for i in range(200):
+            conn.send(i, 700 + i)
+        for until in (0.5, 2.0, 8.0, 30.0):
+            loop.run(until=until)
+            assert conn.backlog_bytes == sum(
+                size for _payload, size in conn._send_queue
+            ) + sum(segment.size for segment in conn._in_flight.values())
 
     def test_backlog_grows_when_path_is_slow(self, loop, rng):
         profile = PathProfile(
@@ -137,35 +191,56 @@ class TestBacklog:
 
 
 class TestApiContract:
-    def test_oversize_message_rejected(self, loop, clean_path):
-        conn = TcpConnection(loop, clean_path)
+    def test_oversize_message_rejected(self, loop, clean_path, sender):
+        conn = sender(loop, clean_path)
         with pytest.raises(TransportError):
             conn.send("x", MSS_BYTES + 1)
 
-    def test_zero_size_rejected(self, loop, clean_path):
-        conn = TcpConnection(loop, clean_path)
+    def test_zero_size_rejected(self, loop, clean_path, sender):
+        conn = sender(loop, clean_path)
         with pytest.raises(TransportError):
             conn.send("x", 0)
 
-    def test_send_after_close_rejected(self, loop, clean_path):
-        conn = TcpConnection(loop, clean_path)
+    def test_send_after_close_rejected(self, loop, clean_path, sender):
+        conn = sender(loop, clean_path)
         conn.close()
         with pytest.raises(ConnectionClosedError):
             conn.send("x", 100)
 
-    def test_close_is_idempotent(self, loop, clean_path):
-        conn = TcpConnection(loop, clean_path)
+    def test_close_is_idempotent(self, loop, clean_path, sender):
+        conn = sender(loop, clean_path)
         conn.close()
         conn.close()
         assert conn.closed
 
-    def test_flow_ids_unique(self, loop, clean_path):
-        a = TcpConnection(loop, clean_path)
-        b = TcpConnection(loop, clean_path)
+    def test_close_unregisters_and_cancels_timers(self, loop, clean_path,
+                                                  sender):
+        """A closed stream leaves nothing behind: both endpoints
+        forget the flow and no timer of the core or the controller
+        (RTO, BBR pacing) is left on the loop."""
+        conn = sender(loop, clean_path)
+        delivered = []
+        conn.on_deliver = lambda p, s: delivered.append(p)
+        for i in range(50):  # more than either initial window
+            conn.send(i, 1000)
+        assert loop.pending_count() > 0
+        conn.close()
+        for endpoint in (clean_path.server_endpoint,
+                         clean_path.client_endpoint):
+            assert conn.flow_id not in endpoint._handlers
+        sent = conn.stats.segments_sent
+        loop.run()  # packets already on the wire drain into the void
+        assert delivered == []
+        assert conn.stats.segments_sent == sent
+        assert loop.pending_count() == 0
+
+    def test_flow_ids_unique(self, loop, clean_path, sender):
+        a = sender(loop, clean_path)
+        b = sender(loop, clean_path)
         assert a.flow_id != b.flow_id
 
-    def test_ignores_foreign_packet_kinds(self, loop, clean_path):
-        conn = TcpConnection(loop, clean_path)
+    def test_ignores_foreign_packet_kinds(self, loop, clean_path, sender):
+        conn = sender(loop, clean_path)
         # Deliver a CONTROL packet to the TCP handlers: must not crash.
         conn._on_ack_packet(
             Packet(kind=PacketKind.CONTROL, size=10, flow_id=conn.flow_id)

@@ -8,11 +8,8 @@ network.
 import pytest
 
 from repro.net.packet import Packet, PacketKind
-from repro.transport.tcp import (
-    DUPACK_THRESHOLD,
-    MAX_RTO,
-    TcpConnection,
-)
+from repro.transport.stream import DUPACK_THRESHOLD, MAX_RTO
+from repro.transport.tcp import TcpConnection
 
 
 def ack(conn, next_expected_seq):
