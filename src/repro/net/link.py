@@ -7,18 +7,29 @@ emerges from the queue filling up, not from a configured probability —
 that is what makes TCP's AIMD and RealServer's adaptation behave
 realistically on top.
 
-Hot-path notes: a link forwards tens of thousands of packets per
-playback, so the data plane avoids per-packet closures and repeated
-config lookups.  Only one packet serializes at a time (``_serializing``
-slot) and propagation preserves FIFO order (every packet on a link has
-the same propagation delay and the event loop is FIFO at equal times),
-so both completion callbacks are permanent bound methods draining
-single-owner buffers instead of fresh lambdas per packet.  Idle
-drop-tail links bypass the queue entirely — the counters are updated
-as if the packet passed through, keeping the conservation invariants
-``offers == enqueued + drops`` and ``enqueued == popped + len`` exact.
-The bypass is disabled for any other queue discipline (RED's average
-depends on observing every arrival).
+Service model: arrival-time FIFO.  The wire serves in arrival order, so
+a packet's whole passage is known the moment it is admitted: it starts
+at ``max(arrival, wire_free_at)``, its last bit leaves
+``wire_size * 8 / rate`` later, and the queue depth an arrival meets is
+the number of admitted packets whose start is still ahead.
+:meth:`Link.admit` is that arithmetic, for every packet and every queue
+discipline; nothing is scheduled to *start* a service.  The queue still
+sees each ``offer`` and ``pop`` with the instant it happened (RED ages
+its average by them): the ``pop`` is replayed, at the start instant the
+packet was given, by whatever touches the link next.
+
+Only a packet's effects are events.  :meth:`Link.send` heaps one on a
+loss-free hop (``_deliver`` at ``tx_done + propagation``) and two on a
+lossy one (the loss draw at ``tx_done`` — the generator is shared, so a
+draw must happen at its simulated instant — then ``_deliver``).
+Background traffic (:mod:`repro.net.crosstraffic`) has no receiver, so
+its source calls :meth:`Link.admit` directly and heaps nothing.
+
+Counters are therefore settled rather than live: :attr:`Link.stats`,
+:attr:`Link.queue` and :attr:`Link.queue_depth` bring themselves up to
+``loop.now`` when read, so ``repro.validate`` sees
+``offers == enqueued + drops``, ``enqueued == popped + len`` and
+``popped == delivered + random_drops + in_transit`` hold exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue
+from repro.net.packet import Packet, PacketKind
+from repro.net.queues import DropTailQueue, WireSized
 from repro.sim.engine import PRIORITY_HIGH, EventLoop
 from repro.units import BITS_PER_BYTE
 
@@ -41,7 +52,8 @@ class PacketQueue(Protocol):
 
     The counter attributes let ``repro.validate`` assert conservation
     (``offers == enqueued + drops``, ``enqueued == popped + len``)
-    without knowing the queueing discipline.
+    without knowing the queueing discipline.  ``now`` is the instant
+    the operation happens (a ``pop`` is replayed after the fact).
     """
 
     offers: int
@@ -50,12 +62,9 @@ class PacketQueue(Protocol):
     popped: int
     queued_bytes: int
 
-    def offer(self, packet: Packet) -> bool: ...
+    def offer(self, packet: WireSized, now: float | None = None) -> bool: ...
 
-    def pop(self) -> Packet: ...
-
-    @property
-    def is_empty(self) -> bool: ...
+    def pop(self, now: float | None = None) -> WireSized: ...
 
     def __len__(self) -> int: ...
 
@@ -86,7 +95,7 @@ class LinkConfig:
             raise ValueError(f"random_loss must be in [0, 1), got {self.random_loss}")
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkStats:
     """Counters a link keeps while forwarding."""
 
@@ -118,17 +127,15 @@ class Link:
         "_rng",
         "_queue",
         "_receiver",
-        "_busy",
-        "stats",
+        "_stats",
         "_rate_bps",
         "_propagation_s",
         "_random_loss",
-        "_bypass_ok",
+        "_wire_free_at",
+        "_waiting",
         "_serializing",
         "_in_flight",
-        "_lossless",
-        "_wire_free_at",
-        "_wake_pending",
+        "_background",
     )
 
     def __init__(
@@ -145,162 +152,151 @@ class Link:
             queue if queue is not None else DropTailQueue(config.queue_packets)
         )
         self._receiver: Callable[[Packet], None] | None = None
-        self._busy = False
-        self.stats = LinkStats()
+        self._stats = LinkStats()
         # Per-hop constants, cached off the config dataclass: the data
         # plane reads them once per packet.
         self._rate_bps = config.rate_bps
         self._propagation_s = config.propagation_s
         self._random_loss = config.random_loss
-        # The idle bypass is only sound for the exact drop-tail queue:
-        # its accept decision is stateless, so skipping offer()/pop()
-        # while updating the counters is observationally identical.
-        self._bypass_ok = type(self._queue) is DropTailQueue
-        self._serializing: Packet | None = None
-        self._in_flight: deque[Packet] = deque()
-        # A link with no random loss never consumes the rng on its data
-        # plane, so serialization-finish and delivery collapse into one
-        # absolute-time event per packet (half the heap traffic).  Lossy
-        # links must keep the two-event scheme: the loss draw happens at
-        # the instant the last bit leaves, and moving it would reorder
-        # the shared rng stream.
-        self._lossless = config.random_loss == 0.0
+        #: The instant the last admitted packet's last bit leaves.
         self._wire_free_at = 0.0
-        self._wake_pending = False
+        #: Service-start instants of the packets the queue still holds.
+        self._waiting: deque[float] = deque()
+        # Foreground packets between admission and the loss draw (lossy
+        # hops only), and between there and delivery.  Both complete in
+        # admission order, so the event callbacks are permanent bound
+        # methods draining FIFOs instead of a closure per packet.
+        self._serializing: deque[Packet] = deque()
+        self._in_flight: deque[Packet] = deque()
+        #: ``settle(now)`` of each background source this link carries.
+        self._background: list[Callable[[float], None]] = []
 
     def connect(self, receiver: Callable[[Packet], None]) -> None:
         """Attach the downstream receiver (next link or endpoint)."""
         self._receiver = receiver
 
+    def add_background(self, settle: Callable[[float], None]) -> None:
+        """Register a source of packets this link carries unseen:
+        ``settle(now)`` has it report its deliveries up to ``now``."""
+        self._background.append(settle)
+
+    # -- settled views ----------------------------------------------------
+
+    def settle(self) -> None:
+        """Bring every counter up to ``loop.now``."""
+        now = self._loop.now
+        self._begin_due(now)
+        for settle in self._background:
+            settle(now)
+
     @property
-    def queue_depth(self) -> int:
-        """Packets currently waiting (not counting the one in service)."""
-        return len(self._queue)
+    def stats(self) -> LinkStats:
+        """The link's counters, settled to ``loop.now``."""
+        self.settle()
+        return self._stats
 
     @property
     def queue(self) -> PacketQueue:
-        """The link's buffer, exposed for inspection in tests/ablations."""
+        """The link's buffer (settled), for inspection in tests/ablations."""
+        self.settle()
         return self._queue
+
+    @property
+    def queue_depth(self) -> int:
+        """Packets currently waiting (not counting the one in service)."""
+        return len(self.queue)
+
+    def utilization(self, elapsed: float) -> float:
+        """Fraction of ``elapsed`` seconds the link spent serializing."""
+        if elapsed <= 0:
+            return 0.0
+        return min(1.0, self.stats.busy_time / elapsed)
+
+    # -- data plane -------------------------------------------------------
+
+    def admit(self, now: float, item: WireSized) -> float | None:
+        """Offer ``item`` to the link at ``now`` (never earlier than the
+        previous offer).  Returns the instant its last bit will leave
+        the wire, or None when the queue refused it."""
+        stats = self._stats
+        wire_size = item.wire_size
+        stats.offered += 1
+        stats.offered_bytes += wire_size
+        waiting = self._waiting
+        queue = self._queue
+        while waiting and waiting[0] <= now:
+            # (_begin_due, inlined: this runs once per packet per hop.)
+            size = queue.pop(waiting.popleft()).wire_size
+            stats.in_transit += 1
+            stats.in_transit_bytes += size
+            stats.busy_time += size * BITS_PER_BYTE / self._rate_bps
+        if not queue.offer(item, now):
+            stats.queue_drops += 1
+            stats.queue_dropped_bytes += wire_size
+            return None
+        start = self._wire_free_at
+        if start < now:
+            start = now  # idle wire: service starts on arrival
+        waiting.append(start)
+        tx_done = start + wire_size * BITS_PER_BYTE / self._rate_bps
+        self._wire_free_at = tx_done
+        return tx_done
+
+    def count_random_drop(self, wire_size: int) -> None:
+        """A packet that had left the wire failed its loss draw."""
+        stats = self._stats
+        stats.random_drops += 1
+        stats.random_dropped_bytes += wire_size
+        stats.in_transit -= 1
+        stats.in_transit_bytes -= wire_size
+
+    def background_delivered(self, count: int, wire_size: int) -> None:
+        """``count`` background packets reached the far end and left."""
+        stats = self._stats
+        stats.delivered += count
+        stats.delivered_bytes += count * wire_size
+        stats.in_transit -= count
+        stats.in_transit_bytes -= count * wire_size
+        kind_counts = stats.delivered_by_kind
+        kind_counts[PacketKind.CROSS] = (
+            kind_counts.get(PacketKind.CROSS, 0) + count
+        )
+
+    def _begin_due(self, now: float) -> None:
+        """Replay the start of every service that began by ``now``."""
+        waiting = self._waiting
+        queue = self._queue
+        stats = self._stats
+        rate_bps = self._rate_bps
+        while waiting and waiting[0] <= now:
+            wire_size = queue.pop(waiting.popleft()).wire_size
+            stats.in_transit += 1
+            stats.in_transit_bytes += wire_size
+            # Per packet, in FIFO order: float addition does not regroup.
+            stats.busy_time += wire_size * BITS_PER_BYTE / rate_bps
 
     def send(self, packet: Packet) -> None:
         """Offer a packet to the link."""
         if self._receiver is None:
             raise SimulationError(f"link {self.config.name!r} has no receiver")
-        stats = self.stats
-        stats.offered += 1
-        stats.offered_bytes += packet.wire_size
-        queue = self._queue
-        if self._lossless:
-            now = self._loop.now
-            if now >= self._wire_free_at and not self._wake_pending:
-                # Wire idle — and no wake event racing us at this exact
-                # instant (an arrival at precisely the wire-free time
-                # must queue behind the packet the pending wake will
-                # serve, as the two-event scheme did).
-                if self._bypass_ok and queue.is_empty:
-                    # Idle link: the packet would be enqueued and
-                    # immediately popped; account for both and
-                    # serialize directly.
-                    queue.offers += 1
-                    queue.enqueued += 1
-                    queue.popped += 1
-                    self._begin_lossless(packet, now)
-                    return
-                # Idle link behind a discipline that must observe every
-                # arrival (RED): offer, then serve the head at once.
-                if not queue.offer(packet):
-                    stats.queue_drops += 1
-                    stats.queue_dropped_bytes += packet.wire_size
-                    return
-                self._begin_lossless(queue.pop(), now)
-                return
-            if not queue.offer(packet):
-                stats.queue_drops += 1
-                stats.queue_dropped_bytes += packet.wire_size
-                return
-            if not self._wake_pending:
-                self._wake_pending = True
-                self._loop.call_at(self._wire_free_at, self._wake)
+        loop = self._loop
+        tx_done = self.admit(loop.now, packet)
+        if tx_done is None:
             return
-        if not self._busy and self._bypass_ok and queue.is_empty:
-            # Idle link: the packet would be enqueued and immediately
-            # popped; account for both and serialize directly.
-            queue.offers += 1
-            queue.enqueued += 1
-            queue.popped += 1
-            self._busy = True
-            self._begin_service(packet)
-            return
-        if not queue.offer(packet):
-            stats.queue_drops += 1
-            stats.queue_dropped_bytes += packet.wire_size
-            return
-        if not self._busy:
-            self._service_next()
-
-    def _begin_lossless(self, packet: Packet, now: float) -> None:
-        """Serve a packet on a loss-free link: one event does it all.
-
-        The delivery instant ``(now + serialization) + propagation`` is
-        heaped as an absolute time, bit-identical to the sum the
-        two-event scheme accumulates across its hops.
-        """
-        stats = self.stats
-        wire_size = packet.wire_size
-        stats.in_transit += 1
-        stats.in_transit_bytes += wire_size
-        serialization = wire_size * BITS_PER_BYTE / self._rate_bps
-        stats.busy_time += serialization
-        tx_done = now + serialization
-        self._wire_free_at = tx_done
-        self._in_flight.append(packet)
-        self._loop.call_at(
-            tx_done + self._propagation_s, self._deliver, PRIORITY_HIGH
-        )
-
-    def _wake(self) -> None:
-        """The wire came free with packets waiting: serve the head."""
-        self._wake_pending = False
-        queue = self._queue
-        if queue.is_empty:
-            return
-        self._begin_lossless(queue.pop(), self._loop.now)
-        if not queue.is_empty:
-            self._wake_pending = True
-            self._loop.call_at(self._wire_free_at, self._wake)
-
-    def _service_next(self) -> None:
-        if self._queue.is_empty:
-            self._busy = False
-            return
-        self._busy = True
-        self._begin_service(self._queue.pop())
-
-    def _begin_service(self, packet: Packet) -> None:
-        stats = self.stats
-        wire_size = packet.wire_size
-        stats.in_transit += 1
-        stats.in_transit_bytes += wire_size
-        serialization = wire_size * BITS_PER_BYTE / self._rate_bps
-        stats.busy_time += serialization
-        self._serializing = packet
-        self._loop.call_later(serialization, self._finish_serialization)
-
-    def _finish_serialization(self) -> None:
-        packet = self._serializing
-        # The wire is free again as soon as the last bit leaves
-        # (_service_next, inlined: this runs once per packet per hop).
-        queue = self._queue
-        if queue.is_empty:
-            self._busy = False
+        if self._random_loss > 0:
+            self._serializing.append(packet)
+            loop.call_at(tx_done, self._draw_loss)
         else:
-            self._begin_service(queue.pop())
-        if self._random_loss > 0 and self._rng.random() < self._random_loss:
-            stats = self.stats
-            stats.random_drops += 1
-            stats.random_dropped_bytes += packet.wire_size
-            stats.in_transit -= 1
-            stats.in_transit_bytes -= packet.wire_size
+            self._in_flight.append(packet)
+            loop.call_at(
+                tx_done + self._propagation_s, self._deliver, PRIORITY_HIGH
+            )
+
+    def _draw_loss(self) -> None:
+        """The last bit left a lossy wire: did the packet survive it?"""
+        packet = self._serializing.popleft()
+        if self._rng.random() < self._random_loss:
+            self.count_random_drop(packet.wire_size)
             return
         self._in_flight.append(packet)
         self._loop.call_later(
@@ -310,7 +306,7 @@ class Link:
     def _deliver(self) -> None:
         packet = self._in_flight.popleft()
         packet.hops += 1
-        stats = self.stats
+        stats = self._stats
         stats.delivered += 1
         stats.delivered_bytes += packet.wire_size
         stats.in_transit -= 1
@@ -321,9 +317,3 @@ class Link:
         receiver = self._receiver
         assert receiver is not None
         receiver(packet)
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds the link spent serializing."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / elapsed)

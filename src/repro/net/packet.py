@@ -102,47 +102,3 @@ class Packet:
             f"Packet({self.kind.value}, flow={self.flow_id}, seq={self.seq}, "
             f"size={self.size})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Cross-traffic packet free list
-# ---------------------------------------------------------------------------
-#
-# CROSS packets have a closed life cycle: created only by
-# CrossTrafficSource, terminated only at the path's two drop points
-# (they never reach an endpoint, a transport, or the player).  That
-# makes them the one packet population safe to pool: the path releases
-# each survivor as it exits, and the source reuses it for a later
-# burst.  Packets lost inside a queue simply fall out of the pool.
-
-_CROSS_POOL: list[Packet] = []
-_CROSS_POOL_MAX = 512
-
-
-def acquire_cross(size: int, flow_id: int, created_at: float) -> Packet:
-    """A CROSS packet, recycled from the pool when one is available."""
-    pool = _CROSS_POOL
-    if pool:
-        packet = pool.pop()
-        packet.size = size
-        packet.flow_id = flow_id
-        packet.seq = 0
-        packet.payload = None
-        packet.created_at = created_at
-        packet.uid = next(_packet_ids)
-        packet.accumulated_delay = 0.0
-        packet.hops = 0
-        packet.wire_size = size + HEADER_BYTES
-        return packet
-    return Packet(
-        kind=PacketKind.CROSS,
-        size=size,
-        flow_id=flow_id,
-        created_at=created_at,
-    )
-
-
-def release_cross(packet: Packet) -> None:
-    """Return a terminated CROSS packet to the pool (bounded)."""
-    if packet.kind is PacketKind.CROSS and len(_CROSS_POOL) < _CROSS_POOL_MAX:
-        _CROSS_POOL.append(packet)

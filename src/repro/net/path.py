@@ -5,6 +5,10 @@ A :class:`NetworkPath` composes, in the server-to-client direction:
     server uplink  ->  internet cloud (bottleneck + cross traffic)  ->
     client access downlink
 
+Cross traffic shares only the hop it loads and exits toward other
+destinations one hop later: it is a background timeline on that link
+(:mod:`repro.net.crosstraffic`), never a packet the path routes.
+
 and in the client-to-server direction a single access-uplink link plus
 the wide-area propagation delay (control messages and ACKs are small;
 they contend for the narrow modem upstream but rarely for the core).
@@ -21,7 +25,7 @@ import numpy as np
 
 from repro.net.crosstraffic import CrossTrafficConfig, CrossTrafficSource
 from repro.net.link import Link, LinkConfig
-from repro.net.packet import HEADER_BYTES, Packet, PacketKind, release_cross
+from repro.net.packet import HEADER_BYTES, Packet, PacketKind
 from repro.net.queues import REDQueue
 from repro.sim.engine import EventLoop
 from repro.transport.base import MSS_BYTES
@@ -90,6 +94,7 @@ class PathStats:
     to_client_packets: int = 0
     to_client_bytes: int = 0
     to_server_packets: int = 0
+    #: Background packets that crossed their hop and left the path.
     dropped_cross_packets: int = 0
 
 
@@ -129,7 +134,7 @@ class NetworkPath:
     ) -> None:
         self._loop = loop
         self.profile = profile
-        self.stats = PathStats()
+        self._stats = PathStats()
         self.client_endpoint = PathEndpoint("client")
         self.server_endpoint = PathEndpoint("server")
 
@@ -181,7 +186,7 @@ class NetworkPath:
             rng,
         )
         self._server_uplink.connect(self._bottleneck.send)
-        self._bottleneck.connect(self._route_after_bottleneck)
+        self._bottleneck.connect(self._access_down.send)
         self._access_down.connect(self._arrive_at_client)
 
         # --- client -> server direction -------------------------------
@@ -214,11 +219,12 @@ class NetworkPath:
         # taps that wrap endpoint.deliver see reverse traffic too.
         self._wan_up.connect(lambda packet: self.server_endpoint.deliver(packet))
 
-        # --- competing traffic at the bottleneck ----------------------
-        self._cross: CrossTrafficSource | None = None
+        # --- competing traffic ------------------------------------------
+        self._background: list[CrossTrafficSource] = []
         if profile.cross_load > 0:
+            # At the bottleneck.
             mean_rate = profile.cross_load * profile.bottleneck_bps
-            self._cross = CrossTrafficSource(
+            self._background.append(CrossTrafficSource(
                 loop,
                 self._bottleneck,
                 CrossTrafficConfig(
@@ -236,13 +242,11 @@ class NetworkPath:
                     mean_burst_s=profile.cross_burst_s,
                 ),
                 rng,
-            )
-
-        # --- competing traffic on a shared access link (T1/LAN) -------
-        self._access_cross: CrossTrafficSource | None = None
+            ))
         if profile.access_cross_load > 0:
+            # On a shared access link (T1/LAN).
             mean_rate = profile.access_cross_load * profile.access_down_bps
-            self._access_cross = CrossTrafficSource(
+            self._background.append(CrossTrafficSource(
                 loop,
                 self._access_down,
                 CrossTrafficConfig(
@@ -253,23 +257,28 @@ class NetworkPath:
                     mean_burst_s=profile.cross_burst_s,
                 ),
                 rng,
-            )
+            ))
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
         """Start background processes (cross traffic)."""
-        if self._cross is not None:
-            self._cross.start()
-        if self._access_cross is not None:
-            self._access_cross.start()
+        for source in self._background:
+            source.start()
 
     def stop(self) -> None:
         """Stop background processes."""
-        if self._cross is not None:
-            self._cross.stop()
-        if self._access_cross is not None:
-            self._access_cross.stop()
+        for source in self._background:
+            source.stop()
+
+    @property
+    def stats(self) -> PathStats:
+        """The path's counters, settled to ``loop.now``."""
+        self._stats.dropped_cross_packets = sum(
+            link.stats.delivered_by_kind.get(PacketKind.CROSS, 0)
+            for link in (self._bottleneck, self._access_down)
+        )
+        return self._stats
 
     # -- data plane -----------------------------------------------------
 
@@ -281,28 +290,12 @@ class NetworkPath:
     def send_to_server(self, packet: Packet) -> None:
         """Inject a packet at the client, destined for the server."""
         packet.created_at = self._loop.now
-        self.stats.to_server_packets += 1
+        self._stats.to_server_packets += 1
         self._access_up.send(packet)
 
-    def _route_after_bottleneck(self, packet: Packet) -> None:
-        if packet.kind is PacketKind.CROSS:
-            # Cross traffic shares only the wide-area bottleneck; it
-            # exits toward other destinations and never loads the
-            # client's access link.
-            self.stats.dropped_cross_packets += 1
-            release_cross(packet)
-            return
-        self._access_down.send(packet)
-
     def _arrive_at_client(self, packet: Packet) -> None:
-        if packet.kind is PacketKind.CROSS:
-            # Access-link cross traffic (LAN coworkers) terminates at
-            # the LAN, not at the player.
-            self.stats.dropped_cross_packets += 1
-            release_cross(packet)
-            return
-        self.stats.to_client_packets += 1
-        self.stats.to_client_bytes += packet.wire_size
+        self._stats.to_client_packets += 1
+        self._stats.to_client_bytes += packet.wire_size
         self.client_endpoint.deliver(packet)
 
     # -- introspection ----------------------------------------------------

@@ -4,6 +4,11 @@ A queue decides, per arriving packet, whether to accept or drop it, and
 hands packets back to the link in FIFO order.  Queue depth is measured
 in packets, which is what most 2001-era drop-tail routers did.
 
+What a queue holds is anything with a ``wire_size`` (a packet, or a
+background source standing in for one).  ``offer`` and ``pop`` take the
+instant they happen as an argument: a link replays a ``pop`` after the
+fact, at the service start it had already computed.
+
 Both queues keep full arrival/departure counters (``offers``,
 ``enqueued``, ``drops``, ``popped``, ``queued_bytes``) so that
 ``repro.validate`` can assert conservation at every hop:
@@ -13,11 +18,15 @@ Both queues keep full arrival/departure counters (``offers``,
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.net.packet import Packet
+
+class WireSized(Protocol):
+    """Anything a queue can hold: it occupies ``wire_size`` bytes."""
+
+    wire_size: int
 
 
 class DropTailQueue:
@@ -27,7 +36,7 @@ class DropTailQueue:
         if capacity_packets < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity_packets}")
         self.capacity = capacity_packets
-        self._queue: deque[Packet] = deque()
+        self._queue: deque[WireSized] = deque()
         self.drops = 0
         self.enqueued = 0
         self.offers = 0
@@ -41,7 +50,7 @@ class DropTailQueue:
     def is_empty(self) -> bool:
         return not self._queue
 
-    def offer(self, packet: Packet) -> bool:
+    def offer(self, packet: WireSized, now: float | None = None) -> bool:
         """Try to enqueue; returns False (and counts a drop) when full."""
         self.offers += 1
         if len(self._queue) >= self.capacity:
@@ -52,7 +61,7 @@ class DropTailQueue:
         self.queued_bytes += packet.wire_size
         return True
 
-    def pop(self) -> Packet:
+    def pop(self, now: float | None = None) -> WireSized:
         """Dequeue the head-of-line packet."""
         packet = self._queue.popleft()
         self.popped += 1
@@ -67,13 +76,14 @@ class REDQueue:
     ([FF98]) motivates: RED keeps average queues short, trading early
     random drops for lower queueing jitter.
 
-    When given a ``clock`` (the owning link passes the event loop's),
-    the EWMA is aged across idle periods per Floyd & Jacobson section
-    11: on the first arrival after the queue drained,
-    ``avg <- (1-w)^m * avg`` with ``m`` the idle time expressed in
-    typical packet-transmission times.  Without a clock the average is
-    only updated on arrivals — the original behavior, kept for direct
-    unit-testing of the drop curve.
+    When given a ``clock`` (the simulated one), the EWMA is aged across
+    idle periods per Floyd & Jacobson section 11: on the first arrival
+    after the queue drained, ``avg <- (1-w)^m * avg`` with ``m`` the
+    idle time expressed in typical packet-transmission times (an
+    explicit ``now``, what a link passes, stands in for reading the
+    clock).  Without a clock the average is only updated on arrivals —
+    the original behavior, kept for direct unit-testing of the drop
+    curve.
     """
 
     def __init__(
@@ -115,7 +125,7 @@ class REDQueue:
         self._clock = clock
         self._mean_tx_time_s = mean_tx_time_s
         self._idle_since: float | None = None
-        self._queue: deque[Packet] = deque()
+        self._queue: deque[WireSized] = deque()
         self._avg = 0.0
         self.drops = 0
         self.early_drops = 0
@@ -136,7 +146,7 @@ class REDQueue:
         """Exponentially weighted average queue depth."""
         return self._avg
 
-    def offer(self, packet: Packet) -> bool:
+    def offer(self, packet: WireSized, now: float | None = None) -> bool:
         """Enqueue with RED's early-drop behavior."""
         self.offers += 1
         if not self._queue and self._idle_since is not None:
@@ -146,7 +156,9 @@ class REDQueue:
             # stale high average from the last burst spuriously
             # early-drops the head of the next one.
             if self._clock is not None:
-                idle = self._clock() - self._idle_since
+                if now is None:
+                    now = self._clock()
+                idle = now - self._idle_since
                 if idle > 0:
                     m = idle / self._mean_tx_time_s
                     self._avg *= (1 - self.weight) ** m
@@ -173,11 +185,11 @@ class REDQueue:
         self.queued_bytes += packet.wire_size
         return True
 
-    def pop(self) -> Packet:
+    def pop(self, now: float | None = None) -> WireSized:
         """Dequeue the head-of-line packet."""
         packet = self._queue.popleft()
         self.popped += 1
         self.queued_bytes -= packet.wire_size
         if not self._queue and self._clock is not None:
-            self._idle_since = self._clock()
+            self._idle_since = self._clock() if now is None else now
         return packet

@@ -15,7 +15,7 @@ Design notes
   through properties, so a misbehaving callback that rewrites a heaped
   event's time is still visible to (and caught by) strict mode.
 * :meth:`EventLoop.call_later` is the fire-and-forget fast path used by
-  per-packet machinery (links, cross traffic): it pushes a bare list
+  per-packet machinery (links): it pushes a bare list
   entry without constructing an :class:`Event` handle.  Bare entries
   and Events compare interchangeably on the heap.
 * Cancellation is lazy: a cancelled event stays on the heap but is
@@ -23,6 +23,16 @@ Design notes
   :meth:`Event.cancel` O(log n) / O(1).
 * The loop is single-threaded and re-entrant-safe: callbacks may
   schedule and cancel other events freely.
+* A :class:`Timeline` is a process too dense to heap (background
+  traffic: thousands of arrivals per playback, none of which anything
+  waits on).  It is attached with :meth:`EventLoop.attach` and owns its
+  own schedule: the loop asks only when its next step is due
+  (``next_time``) and, before dispatching an event at ``t``, has it
+  ``advance(t)`` through every step due strictly before ``t`` —
+  several timelines are merged in time order.  So whenever any code
+  runs at ``loop.now``, every timeline step before that instant has
+  already happened, exactly as if each had been an event; the cost on
+  the dispatch path is one float compare per event.
 * Strict mode (``EventLoop(strict=True)``) additionally asserts, on
   every scheduled and dispatched event, that times are finite, that the
   clock never moves backwards, and that the heap yields events in total
@@ -38,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+from typing import Callable, Protocol
 
 from repro.errors import SimulationError
 
@@ -59,6 +69,8 @@ _PRIORITY = 1
 _SEQ = 2
 _CALLBACK = 3
 _CANCELLED = 4
+
+_INF = math.inf
 
 
 class Event(list):
@@ -124,6 +136,21 @@ class Event(list):
         return f"Event(t={self[_TIME]:.6f}, prio={self[_PRIORITY]}, {state})"
 
 
+class Timeline(Protocol):
+    """A self-scheduling process the loop catches up instead of heaping.
+
+    ``next_time`` is the finite instant of the next step.  ``advance``
+    performs, in time order, every step due strictly before ``until``
+    and leaves ``next_time`` at the first one that is not.  A step may
+    change its own timeline's schedule only; one with nothing left to
+    do detaches itself.
+    """
+
+    next_time: float
+
+    def advance(self, until: float) -> None: ...
+
+
 class EventLoop:
     """A single-threaded discrete-event loop with a simulated clock."""
 
@@ -135,6 +162,9 @@ class EventLoop:
         self._stopped = False
         self.strict = strict
         self._last_key: tuple[float, int, int] | None = None
+        self._timelines: list[Timeline] = []
+        #: Earliest ``next_time`` among attached timelines (inf: none).
+        self._due = _INF
 
     @property
     def now(self) -> float:
@@ -146,17 +176,95 @@ class EventLoop:
         """True once :meth:`stop` has been called."""
         return self._stopped
 
+    @property
+    def scheduled(self) -> int:
+        """Events heaped so far, cancelled or not (timeline steps are
+        not events and never count)."""
+        return self._seq
+
     def stop(self) -> None:
         """Stop dispatching after the current callback returns.
 
         The flag is permanent for this loop: a driver that wires a
         completion callback to ``stop`` (the tracer does) can then use
-        plain :meth:`run` without paying for a per-event predicate, and
-        background processes that keep the heap populated forever
-        (cross traffic) cannot keep the loop alive past the stop.
+        plain :meth:`run` without paying for a per-event predicate.
         Calling it before :meth:`run` makes the run return immediately.
         """
         self._stopped = True
+
+    # -- timelines ------------------------------------------------------
+
+    def attach(self, timeline: Timeline) -> None:
+        """Have ``timeline`` caught up ahead of every later event."""
+        if timeline in self._timelines:
+            raise SimulationError(f"timeline already attached: {timeline!r}")
+        if self.strict:
+            self._check_timeline(timeline, self._now)
+        self._timelines.append(timeline)
+        if timeline.next_time < self._due:
+            self._due = timeline.next_time
+
+    def detach(self, timeline: Timeline) -> None:
+        """Stop catching ``timeline`` up (a no-op if it is not attached)."""
+        if timeline in self._timelines:
+            self._timelines.remove(timeline)
+            self._due = min(
+                (other.next_time for other in self._timelines), default=_INF
+            )
+
+    def _check_timeline(self, timeline: Timeline, floor: float) -> None:
+        """Strict-mode timeline assertions (finite, never backwards)."""
+        time = timeline.next_time
+        if not math.isfinite(time):
+            raise SimulationError(
+                f"timeline {timeline!r} reports non-finite next_time {time}"
+            )
+        if time < floor:
+            raise SimulationError(
+                f"timeline {timeline!r} went backwards: next_time={time} "
+                f"< {floor}"
+            )
+
+    def _catch_up(self, limit: float) -> None:
+        """Run every timeline step due strictly before ``limit``.
+
+        The earliest timeline advances until the next one is due, so
+        steps of different timelines interleave in time order (attach
+        order at an exact tie) — they may share one random stream, and
+        then draw order is the output.
+        """
+        timelines = self._timelines
+        strict = self.strict
+        while True:
+            # The earliest timeline (attach order at a tie) and the
+            # instant the next one is due.
+            first = None
+            due = then = _INF
+            for timeline in timelines:
+                if strict:
+                    self._check_timeline(timeline, self._now)
+                time = timeline.next_time
+                if time < due:
+                    first, due, then = timeline, time, due
+                elif time < then:
+                    then = time
+            if not due < limit:
+                self._due = due
+                return
+            if then > limit:
+                then = limit
+            elif then == due:
+                # Two due at the same instant: the first takes just
+                # that instant, then they re-merge.
+                then = math.nextafter(then, _INF)
+            first.advance(then)
+            if strict and first in timelines:
+                self._check_timeline(first, due)
+                if first.next_time < then:
+                    raise SimulationError(
+                        f"timeline {first!r} stopped short of {then}: "
+                        f"next_time={first.next_time}"
+                    )
 
     def schedule(
         self,
@@ -273,7 +381,10 @@ class EventLoop:
                     entry = pop(heap)
                     if entry[_CANCELLED]:
                         continue
-                    self._now = entry[_TIME]
+                    time = entry[_TIME]
+                    if time > self._due:
+                        self._catch_up(time)
+                    self._now = time
                     entry[_CALLBACK]()
                 return
             strict = self.strict
@@ -282,14 +393,19 @@ class EventLoop:
                 if entry[_CANCELLED]:
                     pop(heap)
                     continue
-                if until is not None and entry[_TIME] > until:
+                time = entry[_TIME]
+                if until is not None and time > until:
                     break
                 pop(heap)
                 if strict:
                     self._check_dispatch(entry)
-                self._now = entry[_TIME]
+                if time > self._due:
+                    self._catch_up(time)
+                self._now = time
                 entry[_CALLBACK]()
             if until is not None and not self._stopped and until > self._now:
+                if until > self._due:
+                    self._catch_up(until)
                 self._now = until
         finally:
             self._running = False
@@ -303,6 +419,8 @@ class EventLoop:
                 continue
             if self.strict:
                 self._check_dispatch(entry)
+            if entry[_TIME] > self._due:
+                self._catch_up(entry[_TIME])
             self._now = entry[_TIME]
             entry[_CALLBACK]()
             return True

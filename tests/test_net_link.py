@@ -172,3 +172,95 @@ class TestConfigValidation:
     def test_rejects_loss_of_one(self):
         with pytest.raises(ValueError):
             LinkConfig(rate_bps=1000, propagation_s=0, random_loss=1.0)
+
+
+class TestArrivalTimeService:
+    """One service scheme: a packet's passage is fixed at admission, and
+    only its effects (loss draw, delivery) are events."""
+
+    def test_loss_free_hop_heaps_one_event_per_packet(self):
+        loop = EventLoop()
+        link = make_link(loop, rate=kbps(8), queue=10)
+        link.connect(lambda p: None)
+        for seq in range(5):  # four of them wait for the wire
+            link.send(make_packet(seq=seq))
+        assert loop.scheduled == 5
+        loop.run()
+        assert loop.scheduled == 5
+        assert link.stats.delivered == 5
+
+    def test_lossy_hop_heaps_the_draw_then_the_delivery(self):
+        loop = EventLoop()
+        link = make_link(loop, rate=kbps(8), queue=10, loss=0.5)
+        link.connect(lambda p: None)
+        for seq in range(8):
+            link.send(make_packet(seq=seq))
+        loop.run()
+        stats = link.stats
+        assert stats.random_drops > 0 and stats.delivered > 0
+        assert loop.scheduled == 8 + stats.delivered
+
+    def test_admit_returns_the_instant_the_last_bit_leaves(self):
+        loop = EventLoop()
+        link = make_link(loop, rate=kbps(80), queue=1)
+        link.connect(lambda p: None)
+        serialization = (1000 + HEADER_BYTES) * 8 / kbps(80)
+        assert link.admit(0.0, make_packet()) == serialization
+        assert link.admit(0.0, make_packet()) == 2 * serialization
+        assert link.admit(0.0, make_packet()) is None  # queue of one is full
+        # Served at once on an idle wire, however long it sat idle.
+        assert link.admit(10.0, make_packet()) == 10.0 + serialization
+
+    def test_counters_are_exact_whenever_read(self):
+        loop = EventLoop()
+        link = make_link(loop, rate=kbps(8), prop=0.0, queue=10)
+        link.connect(lambda p: None)
+        serialization = (1000 + HEADER_BYTES) * 8 / kbps(8)
+        for seq in range(4):
+            link.send(make_packet(seq=seq))
+        seen = []
+
+        def read() -> None:
+            queue, stats = link.queue, link.stats
+            seen.append(
+                (link.queue_depth, queue.popped, len(queue),
+                 stats.in_transit, stats.delivered)
+            )
+            assert queue.enqueued == queue.popped + len(queue)
+            assert queue.popped == stats.delivered + stats.in_transit
+            assert stats.busy_time == pytest.approx(
+                queue.popped * serialization
+            )
+
+        read()
+        for k in (0.5, 1.5, 2.5, 3.5, 4.5):
+            loop.schedule_at(k * serialization, read)
+        loop.run()
+        assert seen == [
+            (3, 1, 3, 1, 0), (3, 1, 3, 1, 0), (2, 2, 2, 1, 1),
+            (1, 3, 1, 1, 2), (0, 4, 0, 1, 3), (0, 4, 0, 0, 4),
+        ]
+
+    def test_red_sees_each_pop_at_the_instant_it_happened(self):
+        from repro.net.queues import REDQueue
+
+        def idle_since_after(read_at):
+            loop = EventLoop()
+            queue = REDQueue(10, rng=np.random.default_rng(0),
+                             clock=lambda: loop.now)
+            link = Link(
+                loop, LinkConfig(rate_bps=kbps(8), propagation_s=0.0),
+                np.random.default_rng(0), queue=queue,
+            )
+            link.connect(lambda p: None)
+            link.send(make_packet(seq=0))
+            link.send(make_packet(seq=1))  # starts one serialization in
+            loop.run(until=read_at)
+            assert link.queue_depth == 0
+            return queue._idle_since
+
+        serialization = (1000 + HEADER_BYTES) * 8 / kbps(8)
+        # The queue emptied when the second packet's service began, not
+        # when somebody next looked at the link.
+        assert idle_since_after(5.0) == serialization
+        assert idle_since_after(50.0) == serialization

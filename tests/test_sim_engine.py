@@ -259,3 +259,184 @@ class TestStrictMode:
         loop.run()
         assert fired == sorted(fired)
         assert len(fired) == 5
+
+
+class Ticker:
+    """A minimal timeline: one step per ``period``, logged with the
+    loop clock it ran under."""
+
+    def __init__(self, log, name, period, first):
+        self.log = log
+        self.name = name
+        self.period = period
+        self.next_time = first
+
+    def advance(self, until):
+        while self.next_time < until:
+            self.log.append((self.next_time, self.name))
+            self.next_time += self.period
+
+
+class TestTimelines:
+    def _logged_event(self, loop, log, at):
+        loop.schedule_at(at, lambda: log.append((loop.now, "event")))
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_steps_run_ahead_of_every_later_event(self, strict):
+        loop = EventLoop(strict=strict)
+        log = []
+        loop.attach(Ticker(log, "tick", period=1.0, first=0.5))
+        self._logged_event(loop, log, 2.0)
+        self._logged_event(loop, log, 3.25)
+        loop.run()
+        assert log == [
+            (0.5, "tick"), (1.5, "tick"), (2.0, "event"),
+            (2.5, "tick"), (3.25, "event"),
+        ]
+        # Steps are not events.
+        assert loop.scheduled == 2
+
+    def test_step_due_at_an_events_instant_waits_for_a_later_one(self):
+        # "Strictly before": the tie goes to the heaped event.
+        loop = EventLoop()
+        log = []
+        loop.attach(Ticker(log, "tick", period=1.0, first=1.0))
+        self._logged_event(loop, log, 1.0)
+        self._logged_event(loop, log, 1.5)
+        loop.run()
+        assert log == [(1.0, "event"), (1.0, "tick"), (1.5, "event")]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_two_timelines_merge_in_time_order(self, strict):
+        loop = EventLoop(strict=strict)
+        log = []
+        loop.attach(Ticker(log, "slow", period=1.0, first=0.25))
+        loop.attach(Ticker(log, "fast", period=0.5, first=0.5))
+        self._logged_event(loop, log, 2.0)
+        loop.run()
+        assert log == [
+            (0.25, "slow"), (0.5, "fast"), (1.0, "fast"), (1.25, "slow"),
+            (1.5, "fast"), (2.0, "event"),
+        ]
+
+    def test_simultaneous_steps_go_in_attach_order(self):
+        loop = EventLoop(strict=True)
+        log = []
+        loop.attach(Ticker(log, "a", period=1.0, first=1.0))
+        loop.attach(Ticker(log, "b", period=0.5, first=1.0))
+        loop.run(until=2.25)
+        assert log == [
+            (1.0, "a"), (1.0, "b"), (1.5, "b"), (2.0, "a"), (2.0, "b"),
+        ]
+
+    def test_run_until_catches_up_with_an_empty_heap(self):
+        loop = EventLoop(strict=True)
+        log = []
+        ticker = Ticker(log, "tick", period=1.0, first=0.5)
+        loop.attach(ticker)
+        loop.run(until=3.0)
+        assert [at for at, _ in log] == [0.5, 1.5, 2.5]
+        assert loop.now == 3.0 and ticker.next_time == 3.5
+        loop.run(until=4.0)
+        assert len(log) == 4
+
+    def test_run_without_until_does_not_invent_time(self):
+        loop = EventLoop()
+        log = []
+        loop.attach(Ticker(log, "tick", period=1.0, first=0.5))
+        loop.run()
+        assert log == [] and loop.now == 0.0
+
+    def test_run_step_honours_timelines(self):
+        loop = EventLoop(strict=True)
+        log = []
+        loop.attach(Ticker(log, "tick", period=1.0, first=0.5))
+        self._logged_event(loop, log, 1.0)
+        self._logged_event(loop, log, 2.0)
+        assert loop.run_step()
+        assert log == [(0.5, "tick"), (1.0, "event")]
+        assert loop.run_step()
+        assert log[2:] == [(1.5, "tick"), (2.0, "event")]
+
+    def test_timeline_attached_by_a_callback_joins_in(self):
+        loop = EventLoop(strict=True)
+        log = []
+        loop.schedule_at(
+            1.0, lambda: loop.attach(Ticker(log, "late", 1.0, first=1.25))
+        )
+        self._logged_event(loop, log, 3.0)
+        loop.run()
+        assert log == [(1.25, "late"), (2.25, "late"), (3.0, "event")]
+
+    def test_detach_and_double_attach(self):
+        loop = EventLoop()
+        log = []
+        ticker = Ticker(log, "tick", period=1.0, first=0.5)
+        loop.attach(ticker)
+        with pytest.raises(SimulationError, match="already attached"):
+            loop.attach(ticker)
+        loop.run(until=1.0)
+        loop.detach(ticker)
+        loop.detach(ticker)  # idempotent
+        loop.run(until=5.0)
+        assert log == [(0.5, "tick")]
+
+    def test_timeline_may_detach_itself_mid_advance(self):
+        loop = EventLoop(strict=True)
+        log = []
+
+        class Finite(Ticker):
+            def advance(self, until):
+                super().advance(min(until, 2.0))
+                if self.next_time >= 2.0:
+                    loop.detach(self)
+
+        loop.attach(Finite(log, "finite", period=0.75, first=0.5))
+        loop.attach(Ticker(log, "other", period=2.0, first=1.0))
+        loop.run(until=4.0)
+        assert log == [
+            (0.5, "finite"), (1.0, "other"), (1.25, "finite"), (3.0, "other"),
+        ]
+
+    def test_strict_rejects_non_finite_next_time(self):
+        loop = EventLoop(strict=True)
+        with pytest.raises(SimulationError, match="non-finite"):
+            loop.attach(Ticker([], "inf", 1.0, first=float("inf")))
+        ticker = Ticker([], "nan-later", 1.0, first=0.5)
+        loop.attach(ticker)
+        ticker.period = float("nan")
+        with pytest.raises(SimulationError, match="non-finite"):
+            loop.run(until=2.0)
+
+    def test_strict_rejects_next_time_behind_the_clock(self):
+        loop = EventLoop(strict=True)
+        loop.run(until=5.0)
+        with pytest.raises(SimulationError, match="went backwards"):
+            loop.attach(Ticker([], "stale", 1.0, first=4.0))
+        ticker = Ticker([], "rewound", 1.0, first=5.5)
+        loop.attach(ticker)
+        ticker.next_time = 1.0  # behind loop.now
+        with pytest.raises(SimulationError, match="went backwards"):
+            loop.run(until=6.0)
+
+    def test_strict_rejects_a_step_earlier_than_the_previous_one(self):
+        loop = EventLoop(strict=True)
+
+        class Rewinder(Ticker):
+            def advance(self, until):
+                self.next_time -= 0.125
+
+        loop.attach(Rewinder([], "rewinder", 1.0, first=0.5))
+        with pytest.raises(SimulationError, match="went backwards"):
+            loop.run(until=2.0)
+
+    def test_strict_rejects_a_timeline_that_stops_short(self):
+        loop = EventLoop(strict=True)
+
+        class Lazy(Ticker):
+            def advance(self, until):
+                pass
+
+        loop.attach(Lazy([], "lazy", 1.0, first=0.5))
+        with pytest.raises(SimulationError, match="stopped short"):
+            loop.run(until=2.0)
