@@ -16,7 +16,8 @@
 # resume tests, and a 2x2 scenario sweep through repro.sweep (first
 # run simulates + caches, rerun must be 100% cache hits with a
 # byte-identical report), the chaos smoke (a hung worker + a real
-# SIGTERM injected into a tiny study; recovery must be byte-identical),
+# SIGTERM injected into a tiny study; recovery must be byte-identical;
+# the same plan at --workers 1 must be refused with exit 2),
 # the service smoke (a real `repro serve` round trip: POST, SSE,
 # CSV download diffed against the direct run, SIGTERM drain), and the
 # disk-pressure smoke (a budget-governed sketch study must degrade at
@@ -197,6 +198,19 @@ assert not bad, bad
 print("chaos smoke ok: " + ", ".join(
     f"{o['fault']} -> {o['status']}" for o in outcomes))
 EOF
+
+# worker.play faults need a worker process: in-process (--workers 1)
+# the same plan must be refused, not vacuously "recovered"
+status=0
+python -m repro.cli chaos --plan examples/chaos/smoke.json \
+    --scale 0.02 --workers 1 --quiet 2> "$out/chaos-w1.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q "needs workers >= 2" "$out/chaos-w1.err"
+then
+    echo "chaos --workers 1 should exit 2 naming the fault; got $status:" >&2
+    cat "$out/chaos-w1.err" >&2
+    exit 1
+fi
+echo "chaos smoke ok: worker.play plan refused at --workers 1"
 
 echo "== service smoke (serve, SSE, CSV diff, SIGTERM drain) =="
 # reuses the parallel-study stage's CSV as the direct-run reference

@@ -202,6 +202,8 @@ def run_chaos_matrix(
     ``base_dir`` holds one checkpoint directory per fault (a temp
     directory when omitted).  Signal faults are delivered in-process on
     their schedule, so the matrix must run on the main thread.
+    ``worker.play`` faults need a worker process to hit: `RuntimeConfig`
+    rejects them with ``ValueError`` at ``workers=1``.
     """
     import tempfile
 

@@ -9,7 +9,8 @@ Subcommands::
                  [--scenario dash-abr]
     repro scenarios [--json]
     repro report --csv study.csv [--plots]
-    repro figures --scale 1.0 --out results/ [--workers 4] [--resume]
+    repro figures --scale 1.0 --out results/ [--csv study.csv]
+                 [--workers 4] [--resume] [--checkpoint-dir DIR]
                  [--users 100000] [--aggregation exact|sketch]
     repro validate --scale 0.1 [--workers 2] [--strict] [--skip-oracle]
     repro sweep  --spec sweep.toml [--workers 4] [--cache-dir .sweep-cache]
@@ -389,6 +390,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import default_plan, load_plan
     from repro.chaos.matrix import run_chaos_matrix
     from repro.errors import ChaosError
+    from repro.runtime import RuntimeConfig
 
     try:
         plan = load_plan(args.plan) if args.plan is not None \
@@ -398,6 +400,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 2
     if not plan.faults:
         print(f"error: plan {plan.name!r} has no faults", file=sys.stderr)
+        return 2
+    try:
+        # A worker.play fault at --workers 1 would never fire and the
+        # matrix would pass vacuously; refuse before the golden run.
+        RuntimeConfig(workers=args.workers, fault_plan=plan)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     config = StudyConfig(seed=args.seed, scale=args.scale)
     report = run_chaos_matrix(
@@ -548,20 +557,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments import runner
 
-    forwarded = ["--scale", str(args.scale), "--seed", str(args.seed),
-                 "--out", str(args.out), "--workers", str(args.workers),
-                 "--aggregation", args.aggregation]
-    if args.users is not None:
-        forwarded += ["--users", str(args.users)]
-    if args.scenario is not None:
-        forwarded += ["--scenario", args.scenario]
-    if args.checkpoint_dir is not None:
-        forwarded += ["--checkpoint-dir", str(args.checkpoint_dir)]
-    if args.resume:
-        forwarded.append("--resume")
-    if args.quiet:
-        forwarded.append("--quiet")
-    return runner.main(forwarded)
+    return runner.run(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -626,28 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include ASCII plots")
     report.set_defaults(func=_cmd_report)
 
+    # The figure run declares its own options, shared with ``python -m
+    # repro.experiments.runner``; imported here, not at module import,
+    # to keep ``import repro.cli`` light.
+    from repro.experiments import runner
+
     figures = sub.add_parser("figures", help="regenerate every paper figure")
-    figures.add_argument("--seed", type=int, default=2001)
-    figures.add_argument("--scale", type=float, default=1.0)
-    figures.add_argument("--out", type=Path, default=Path("results"))
-    figures.add_argument("--workers", type=int, default=1,
-                         help="worker processes for the study run")
-    figures.add_argument("--users", type=int, default=None,
-                         help="population size: truncate below the paper's "
-                              "63 users, synthesize beyond it (same "
-                              "RNG-keyed expansion as `repro study`)")
-    figures.add_argument("--aggregation", choices=["exact", "sketch"],
-                         default="exact",
-                         help="'exact' renders figures from the in-memory "
-                              "record list; 'sketch' renders them from "
-                              "constant-memory streaming aggregates "
-                              "(million-user studies)")
-    figures.add_argument("--scenario", default=None,
-                         help="run a named what-if scenario (see `repro "
-                              "scenarios`) instead of the baseline world")
-    figures.add_argument("--checkpoint-dir", type=Path, default=None)
-    figures.add_argument("--resume", action="store_true")
-    figures.add_argument("--quiet", action="store_true")
+    runner.add_arguments(figures)
     figures.set_defaults(func=_cmd_figures)
 
     scenarios = sub.add_parser(

@@ -37,10 +37,9 @@ from repro.runtime import (
 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate every figure of the RealVideo study."
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the figure run's options — once, for both
+    ``python -m repro.experiments.runner`` and ``repro figures``."""
     parser.add_argument("--scale", type=float, default=1.0,
                         help="fraction of each user's plays to simulate")
     parser.add_argument("--seed", type=int, default=2001)
@@ -61,14 +60,25 @@ def main(argv: list[str] | None = None) -> int:
                         default="exact",
                         help="'exact' collects every record in memory; "
                              "'sketch' streams constant-memory aggregates "
-                             "and renders the figures from them")
+                             "and renders the figures from them "
+                             "(million-user studies)")
     parser.add_argument("--checkpoint-dir", type=Path, default=None,
                         help="journal shard results here (enables --resume)")
     parser.add_argument("--resume", action="store_true",
                         help="skip shards already in the checkpoint dir")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Regenerate every figure of the RealVideo study."
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the study and write every figure for parsed ``args``."""
     config = StudyConfig(
         seed=args.seed,
         scale=args.scale,

@@ -31,7 +31,10 @@ def rss_bytes() -> int:
         # enough for a *peak* fallback watermark.
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         return peak * 1024 if os.uname().sysname != "Darwin" else peak
-    except Exception:
+    except (ImportError, AttributeError, OSError):
+        # No `resource`/`os.uname` (non-POSIX) or the probe itself
+        # failed: report "unmeasurable" — a failed RSS probe must not
+        # kill the shard it was only watching.
         return 0
 
 

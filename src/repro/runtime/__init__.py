@@ -6,7 +6,8 @@ The campaign's per-playback RNG streams are keyed by
 parallel per user.  This package turns that property into a runtime:
 
 - `repro.runtime.scheduler` — deterministic user-atomic shard plans,
-- `repro.runtime.pool` — a multiprocessing pool with bounded retries,
+- `repro.runtime.pool` — the shard body (:func:`simulate_shard`) and a
+  multiprocessing pool with bounded retries that runs it,
 - `repro.runtime.checkpoint` — an atomic shard journal for resume,
 - `repro.runtime.telemetry` — plays/sec, ETA, worker utilization,
 - `repro.runtime.engine` — :func:`run_study`, the entry point.
@@ -19,9 +20,9 @@ from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import RunResult, RuntimeConfig, run_study
 from repro.runtime.pool import (
     BackoffPolicy,
-    FaultSpec,
     ShardResult,
     run_shards,
+    simulate_shard,
 )
 from repro.runtime.scheduler import ShardPlan, ShardSpec, plan_shards
 from repro.runtime.telemetry import RunTelemetry, ThrottledProgressPrinter
@@ -29,7 +30,6 @@ from repro.runtime.telemetry import RunTelemetry, ThrottledProgressPrinter
 __all__ = [
     "BackoffPolicy",
     "CheckpointStore",
-    "FaultSpec",
     "RunResult",
     "RunTelemetry",
     "RuntimeConfig",
@@ -40,4 +40,5 @@ __all__ = [
     "plan_shards",
     "run_shards",
     "run_study",
+    "simulate_shard",
 ]

@@ -29,47 +29,48 @@ Degradation contract (the `repro.chaos` guarantees):
 
 from __future__ import annotations
 
+import logging
 import signal
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 import tempfile
 
-from repro.analysis.streaming import StudyAggregates, user_base_ranks
+from repro.analysis.streaming import StudyAggregates
 from repro.chaos.plan import FaultPlan
 from repro.chaos.seam import IoSeam
 from repro.core.records import StudyDataset
 from repro.core.spill import (
     ShardSpill,
     SpilledDataset,
-    SpillWriter,
     index_file_name,
     sweep_orphans,
 )
 from repro.core.study import Study, StudyConfig
 from repro.core.submission import SubmissionSink
 from repro.errors import CheckpointError
-from repro.pressure import (
-    DiskBudget,
-    MemoryGovernor,
-    PressureConfig,
-    du_bytes,
-)
+from repro.pressure import DiskBudget, PressureConfig, du_bytes
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.pool import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_WATCHDOG_DEADLINE_S,
     BackoffPolicy,
-    FaultSpec,
+    EventCallback,
     run_shards,
+    simulate_shard,
 )
 from repro.runtime.scheduler import ShardPlan, plan_shards
 from repro.runtime.telemetry import RunTelemetry
 from repro.validate import ValidationConfig
 from repro.world.population import StudyPopulation
+
+#: One record per shard lifecycle event (started / finished /
+#: failed_attempt / failed_final / journal_error), with ``event``,
+#: ``fingerprint``, ``shard``, ``attempt``, ``records`` and
+#: ``elapsed_s`` in ``extra=``.  The library installs no handler.
+_log = logging.getLogger("repro.runtime")
 
 
 @dataclass
@@ -90,17 +91,15 @@ class RuntimeConfig:
     #: Called with the run's `RunTelemetry` after every event; callers
     #: throttle their own rendering.
     progress: Callable[[RunTelemetry], None] | None = None
-    #: Deterministic failure injection (tests only).
-    fault: FaultSpec | None = None
     #: Override the study's `repro.validate` config for this run (None:
     #: use ``StudyConfig.validation`` as-is).  Validation never changes
     #: the simulated results, so it does not affect the checkpoint
     #: fingerprint and an audited run can resume an unaudited one.
     validation: ValidationConfig | None = None
     #: `repro.chaos` fault plan: worker.play faults reach the pool
-    #: workers, write faults reach the checkpoint journal's IO seam,
-    #: signal faults are delivered on a timer (requires
-    #: ``handle_signals``).
+    #: workers (so they need ``workers >= 2``), write faults reach the
+    #: checkpoint journal's IO seam, signal faults are delivered on a
+    #: timer (requires ``handle_signals``).
     fault_plan: FaultPlan | None = None
     #: Retry backoff policy (None: pool default, jitter keyed by the
     #: fault plan's seed).
@@ -138,6 +137,16 @@ class RuntimeConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume requires a checkpoint_dir")
+        if self.workers == 1 and self.fault_plan is not None:
+            stranded = self.fault_plan.for_site("worker.play")
+            if stranded:
+                # In-process there is no worker to hang, crash or fail:
+                # the fault would be dropped and the run would "pass".
+                raise ValueError(
+                    f"fault {stranded[0].label!r} needs workers >= 2 "
+                    "(workers=1 runs shards in-process, where a "
+                    "worker.play fault has no worker process to hit)"
+                )
 
 
 @dataclass
@@ -185,7 +194,7 @@ class RunResult:
 
 
 class _Interrupted(Exception):
-    """Internal: unwinds the serial loop when a signal arrived."""
+    """Internal: abandons the in-process shard when a stop arrived."""
 
 
 class _GracefulStop:
@@ -408,18 +417,31 @@ def run_study(
     with _GracefulStop(runtime.handle_signals) as signals:
         stop = _CombinedStop(signals, runtime.should_stop, budget)
         timers = _signal_timers(runtime.fault_plan, runtime.handle_signals)
+        settle = _settler(
+            plan.fingerprint, telemetry, store, completed, shard_aggregates,
+            quarantined, budget, notify,
+        )
         try:
-            if runtime.workers <= 1:
-                _run_serial(
-                    study, pending, telemetry, store, completed, notify,
-                    stop, spill_dir, shard_aggregates,
-                    budget=budget, pressure=pressure,
+            if runtime.workers == 1:
+                _run_in_process(
+                    study, pending, settle, stop,
+                    spill_dir=spill_dir, pressure=pressure, budget=budget,
                 )
             else:
-                _run_parallel(
-                    config, pending, runtime, telemetry, store, completed,
-                    quarantined, notify, stop, spill_dir, shard_aggregates,
-                    budget=budget,
+                # Crashes, raises and hangs retry (with backoff) up to
+                # ``max_retries``; shards beyond that are quarantined.
+                run_shards(
+                    config,
+                    pending,
+                    workers=runtime.workers,
+                    max_retries=runtime.max_retries,
+                    on_event=settle,
+                    plan=runtime.fault_plan,
+                    backoff=runtime.backoff,
+                    watchdog_deadline_s=runtime.watchdog_deadline_s,
+                    should_stop=lambda: stop.requested,
+                    spill_dir=str(spill_dir) if streaming else None,
+                    pressure=pressure,
                 )
         finally:
             for timer in timers:
@@ -507,212 +529,130 @@ def run_study(
     )
 
 
-def _journal(telemetry: RunTelemetry, what: str, write: Callable[[], object]):
-    """Checkpoint writes degrade (counted, resumable) instead of
+def _journal(
+    telemetry: RunTelemetry, what: str, write: Callable[[], object], **extra
+) -> None:
+    """Checkpoint writes degrade (counted, logged, resumable) instead of
     sinking a healthy run on a full disk."""
     try:
         write()
     except OSError as exc:
         telemetry.journal_error(f"{what}: {exc}")
-
-
-def _run_serial(
-    study, pending, telemetry, store, completed, notify, stop,
-    spill_dir=None, shard_aggregates=None, budget=None, pressure=None,
-) -> None:
-    """In-process execution: no retries (exceptions propagate, as in
-    ``Study.run``), but completed shards still journal, so a killed run
-    resumes.  A graceful-stop signal abandons the in-flight shard at
-    the next play boundary; completed shards stay journaled.
-
-    With ``spill_dir`` (streaming mode) shard records go straight to
-    columnar batches + aggregates instead of an in-memory dataset; an
-    abandoned shard leaves only orphan batch files the next attempt
-    overwrites.  Under resource governance the play-boundary tick is
-    also the degradation point: soft disk pressure and the memory
-    governor both shrink the spill batch size (never the records)."""
-    streaming = spill_dir is not None
-    base_ranks = user_base_ranks(study.schedule()) if streaming else None
-    min_batch = pressure.min_batch_size if pressure is not None else 1
-    governor = (
-        MemoryGovernor(
-            pressure.memory_soft_bytes, min_batch_size=min_batch
+        _log.warning(
+            "journal error: %s: %s", what, exc,
+            extra={"event": "journal_error", **extra},
         )
-        if pressure is not None
-        else None
-    )
-    for shard in pending:
-        if stop.requested:
-            return
-        telemetry.shard_started(shard.shard_id, shard.plays, attempt=1)
-        started = time.monotonic()
-        writer = None
-
-        def tick(done: int, total: int) -> None:
-            telemetry.shard_progress(shard.shard_id, done)
-            notify()
-            if governor is not None:
-                if writer is not None:
-                    writer.shrink(governor.advise(writer.batch_size))
-                else:
-                    governor.sample()
-            if (
-                writer is not None
-                and budget is not None
-                and budget.level() != "ok"
-            ):
-                writer.shrink(max(min_batch, writer.batch_size // 2))
-            if stop.requested:
-                raise _Interrupted
-
-        if streaming:
-            writer = SpillWriter(spill_dir, shard.shard_id, budget=budget)
-            aggregates = StudyAggregates(user_base_rank=base_ranks)
-
-            def on_record(record) -> None:
-                writer.add(record)
-                aggregates.add(record)
-
-            try:
-                study.run_users(
-                    shard.user_ids, progress=tick,
-                    on_record=on_record, collect=False,
-                )
-            except _Interrupted:
-                return
-            index = writer.finish()
-            result = ShardSpill(spill_dir, index)
-            records = result.count
-        else:
-            try:
-                result = study.run_users(shard.user_ids, progress=tick)
-            except _Interrupted:
-                return
-            records = len(result)
-        elapsed = time.monotonic() - started
-        if writer is not None and writer.shrinks:
-            telemetry.record_memory(0, writer.shrinks)
-        if governor is not None and governor.peak_bytes:
-            telemetry.record_memory(governor.peak_bytes)
-        ledger = study.last_validation
-        if ledger is not None:
-            telemetry.record_violations(ledger.summary(), ledger.checks_run)
-        if store is not None:
-            if streaming:
-                _journal(
-                    telemetry, f"shard {shard.shard_id}",
-                    lambda: store.record_shard_spill(
-                        shard.shard_id, index, elapsed, attempts=1,
-                        aggregates=aggregates.to_dict(),
-                    ),
-                )
-            else:
-                _journal(
-                    telemetry, f"shard {shard.shard_id}",
-                    lambda: store.record_shard(
-                        shard.shard_id, result, elapsed, attempts=1
-                    ),
-                )
-        completed[shard.shard_id] = result
-        if streaming:
-            shard_aggregates[shard.shard_id] = aggregates.to_dict()
-        telemetry.shard_finished(
-            shard.shard_id, records, elapsed, attempt=1
-        )
-        notify()
 
 
-def _run_parallel(
-    config, pending, runtime, telemetry, store, completed, quarantined,
-    notify, stop, spill_dir=None, shard_aggregates=None, budget=None,
-) -> None:
-    """Pool execution: crashes, raises and hangs retry (with backoff)
-    up to ``max_retries``; shards beyond that are quarantined.
+def _settler(
+    fingerprint, telemetry, store, completed, shard_aggregates,
+    quarantined, budget, notify,
+) -> EventCallback:
+    """The run's one settle handler: every shard lifecycle event, from
+    either executor, lands here — telemetry, the checkpoint journal,
+    the completed/quarantined maps, the disk ledger and the log.
 
     Shards are journaled the moment their ``finished`` event arrives,
-    so even a parallel run killed mid-way resumes from the completed
-    prefix."""
+    so a run killed mid-way resumes from the completed prefix."""
 
-    def on_event(kind: str, shard_id: int, info: dict) -> None:
-        if kind == "started":
-            telemetry.shard_started(
-                shard_id, info["plays"], attempt=info["attempt"]
-            )
-        elif kind == "tick":
+    def journal(shard_id: int, what: str, write) -> None:
+        if store is not None:
+            _journal(telemetry, what, write,
+                     fingerprint=fingerprint, shard=shard_id)
+
+    def settle(kind: str, shard_id: int, info: dict) -> None:
+        if kind == "tick":
             telemetry.shard_progress(shard_id, info["done"])
+            notify()
+            return
+        attempt, result = info["attempt"], info.get("result")
+        if kind == "started":
+            telemetry.shard_started(shard_id, info["plays"], attempt=attempt)
         elif kind == "finished":
-            telemetry.record_violations(
-                info.get("violations"), info.get("checks_run", 0)
+            telemetry.record_violations(result.violations, result.checks_run)
+            telemetry.record_memory(
+                result.peak_rss_bytes, result.batch_shrinks
             )
-            memory = info.get("memory") or {}
-            if memory:
-                telemetry.record_memory(
-                    memory.get("peak_rss_bytes", 0),
-                    memory.get("batch_shrinks", 0),
-                )
-            if budget is not None and info.get("spill") is not None:
-                # Workers cannot share the parent's ledger across the
-                # process boundary; their spill bytes are charged here,
-                # at the event that makes the spill durable.
+            if budget is not None and result.uncharged_spill_bytes:
+                # Charged at the event that makes the spill durable.
                 budget.charge(
-                    "spills", info.get("spill_bytes", 0), enforce=False
+                    "spills", result.uncharged_spill_bytes, enforce=False
                 )
-            if info.get("spill") is not None:
-                if store is not None:
-                    _journal(
-                        telemetry, f"shard {shard_id}",
-                        lambda: store.record_shard_spill(
-                            shard_id, info["spill_index"],
-                            info["elapsed_s"], attempts=info["attempt"],
-                            aggregates=info["aggregates"],
-                        ),
-                    )
-                completed[shard_id] = info["spill"]
-                shard_aggregates[shard_id] = info["aggregates"]
+            if result.spill is not None:
+                journal(
+                    shard_id, f"shard {shard_id}",
+                    lambda: store.record_shard_spill(
+                        shard_id, result.spill.index, result.elapsed_s,
+                        attempts=attempt, aggregates=result.aggregates,
+                    ),
+                )
+                completed[shard_id] = result.spill
+                shard_aggregates[shard_id] = result.aggregates
             else:
-                if store is not None:
-                    _journal(
-                        telemetry, f"shard {shard_id}",
-                        lambda: store.record_shard(
-                            shard_id, info["dataset"], info["elapsed_s"],
-                            attempts=info["attempt"],
-                        ),
-                    )
-                completed[shard_id] = info["dataset"]
+                journal(
+                    shard_id, f"shard {shard_id}",
+                    lambda: store.record_shard(
+                        shard_id, result.dataset, result.elapsed_s,
+                        attempts=attempt,
+                    ),
+                )
+                completed[shard_id] = result.dataset
             telemetry.shard_finished(
-                shard_id,
-                records=info["records"],
-                elapsed_s=info["elapsed_s"],
-                attempt=info["attempt"],
+                shard_id, records=result.records,
+                elapsed_s=result.elapsed_s, attempt=attempt,
             )
         elif kind in ("failed_attempt", "failed_final"):
             telemetry.shard_failed(
-                shard_id, attempt=info["attempt"], error=info["error"],
+                shard_id, attempt=attempt, error=info["error"],
                 backoff_s=info.get("backoff_s", 0.0),
             )
             if kind == "failed_final":
                 quarantined.add(shard_id)
                 telemetry.shard_quarantined(shard_id)
-                if store is not None:
-                    _journal(
-                        telemetry, f"shard {shard_id} failure",
-                        lambda: store.record_failure(
-                            shard_id, info["attempt"], info["error"]
-                        ),
-                    )
+                journal(
+                    shard_id, f"shard {shard_id} failure",
+                    lambda: store.record_failure(
+                        shard_id, attempt, info["error"]
+                    ),
+                )
+        _log.log(
+            logging.WARNING if kind.startswith("failed") else logging.INFO,
+            "shard %d %s (attempt %d)", shard_id, kind, attempt,
+            extra={
+                "event": kind,
+                "fingerprint": fingerprint,
+                "shard": shard_id,
+                "attempt": attempt,
+                "records": result.records if result is not None else None,
+                "elapsed_s": result.elapsed_s if result is not None else None,
+            },
+        )
         notify()
 
-    run_shards(
-        config,
-        pending,
-        workers=runtime.workers,
-        max_retries=runtime.max_retries,
-        fault=runtime.fault,
-        on_event=on_event,
-        plan=runtime.fault_plan,
-        backoff=runtime.backoff,
-        watchdog_deadline_s=runtime.watchdog_deadline_s,
-        should_stop=lambda: stop.requested,
-        spill_dir=str(spill_dir) if spill_dir is not None else None,
-        pressure=runtime.pressure,
-    )
+    return settle
+
+
+def _run_in_process(study, pending, settle, stop, **body) -> None:
+    """The ``workers == 1`` executor: run each shard body on the run's
+    own study and feed the same events to ``settle`` as the pool does.
+
+    No retries — exceptions propagate, as in ``Study.run`` — but
+    completed shards still journal, so a killed run resumes.  A stop
+    request abandons the in-flight shard at the next play boundary
+    (how `repro.serve` drains from worker threads); completed shards
+    stay journaled."""
+    for spec in pending:
+        if stop.requested:
+            return
+        settle("started", spec.shard_id, {"attempt": 1, "plays": spec.plays})
+
+        def on_tick(done: int) -> None:
+            settle("tick", spec.shard_id, {"done": done})
+            if stop.requested:
+                raise _Interrupted
+
+        try:
+            result = simulate_shard(study, spec, on_tick, **body)
+        except _Interrupted:
+            return
+        settle("finished", spec.shard_id, {"attempt": 1, "result": result})

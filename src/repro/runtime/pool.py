@@ -2,8 +2,10 @@
 
 One process per shard attempt, at most ``workers`` alive at once.  A
 worker rebuilds the study from its (picklable) config — populations
-are deterministic, so every process agrees on the world — runs its
-users, and ships the records back as a CSV payload on an event queue.
+are deterministic, so every process agrees on the world — runs
+:func:`simulate_shard`, the shard body the engine's in-process driver
+also runs, and ships the records back as a CSV payload on an event
+queue.
 
 Three failure modes are handled the same way, by retrying the shard in
 a fresh process up to a bounded number of attempts:
@@ -21,11 +23,10 @@ Retries re-queue with exponential backoff and deterministic jitter
 pool.  A shard that exhausts its attempts is recorded as failed
 (*quarantined* by the engine) without sinking the run.
 
-Deterministic fault injection comes in two layers: the legacy
-:class:`FaultSpec` single-shard hook, and the richer
-``worker.play`` faults of a :class:`~repro.chaos.plan.FaultPlan`
-(hang / crash / raise at a named play), threaded through
-:class:`~repro.chaos.seam.WorkerFaults` — never by monkeypatching.
+Deterministic fault injection is the ``worker.play`` faults of a
+:class:`~repro.chaos.plan.FaultPlan` (hang / crash / raise at a named
+play), threaded through :class:`~repro.chaos.seam.WorkerFaults` —
+never by monkeypatching.
 
 Shutdown correctness: every worker's last act is a ``bye`` sentinel on
 the event queue (crashes skip it — that's what makes them crashes), so
@@ -38,11 +39,11 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing as mp
-import os
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 from queue import Empty
 from typing import Callable, Sequence
 
@@ -52,7 +53,7 @@ from repro.analysis.streaming import StudyAggregates, user_base_ranks
 from repro.core.records import StudyDataset
 from repro.core.spill import ShardSpill, SpillError, SpillWriter
 from repro.core.study import Study, StudyConfig
-from repro.pressure import MemoryGovernor, PressureConfig
+from repro.pressure import DiskBudget, MemoryGovernor, PressureConfig
 from repro.runtime.scheduler import ShardSpec
 
 #: Retries after the first attempt before a shard is declared failed.
@@ -95,45 +96,44 @@ class BackoffPolicy:
         return raw * (1.0 + self.jitter * (2.0 * frac - 1.0))
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """Test hook: make a shard's first ``fail_attempts`` attempts fail.
-
-    ``mode="raise"`` exercises the in-worker exception path;
-    ``mode="exit"`` hard-kills the worker (``os._exit``), exercising
-    dead-process detection.
+@dataclass
+class ShardResult:
+    """One shard's outcome: what :func:`simulate_shard` returns, what a
+    ``finished`` event carries, and (with ``error`` set) what
+    :func:`run_shards` records for a shard that exhausted its attempts.
     """
 
     shard_id: int
-    fail_attempts: int = 1
-    mode: str = "raise"
-
-
-@dataclass
-class ShardResult:
-    """The outcome of one shard after all its attempts."""
-
-    shard_id: int
-    dataset: StudyDataset | None
-    elapsed_s: float
-    attempts: int
+    dataset: StudyDataset | None = None
+    elapsed_s: float = 0.0
+    attempts: int = 1
     error: str = ""
     #: Violation counts by invariant id (empty when validation is off).
-    violations: dict = None  # type: ignore[assignment]
-    #: Invariant checks the worker ran (0 when validation is off).
+    violations: dict = field(default_factory=dict)
+    #: Invariant checks the shard ran (0 when validation is off).
     checks_run: int = 0
     #: Streaming (sketch-mode) runs: the shard's on-disk records and
     #: serialized aggregates instead of an in-memory ``dataset``.
     spill: ShardSpill | None = None
     aggregates: dict | None = None
-
-    def __post_init__(self) -> None:
-        if self.violations is None:
-            self.violations = {}
+    #: Spill bytes no disk ledger has seen yet: a worker cannot share
+    #: the parent's ledger across the process boundary, so the engine
+    #: charges these when the shard settles (0 when the body charged
+    #: a live ``budget`` as it wrote).
+    uncharged_spill_bytes: int = 0
+    #: Memory-governor facts (both 0 without a `PressureConfig`).
+    peak_rss_bytes: int = 0
+    batch_shrinks: int = 0
 
     @property
     def ok(self) -> bool:
         return self.dataset is not None or self.spill is not None
+
+    @property
+    def records(self) -> int:
+        if self.spill is not None:
+            return self.spill.count
+        return len(self.dataset) if self.dataset is not None else 0
 
 
 #: ``on_event(kind, shard_id, info)`` — kinds: started, tick, finished,
@@ -141,99 +141,131 @@ class ShardResult:
 EventCallback = Callable[[str, int, dict], None]
 
 
+def simulate_shard(
+    study: Study,
+    spec: ShardSpec,
+    on_tick: Callable[[int], None],
+    *,
+    spill_dir: str | Path | None = None,
+    pressure: PressureConfig | None = None,
+    budget: DiskBudget | None = None,
+) -> ShardResult:
+    """The shard body: simulate ``spec``'s users on ``study``.
+
+    Both executors run exactly this — the engine's in-process driver
+    on the run's own ``study``, a pool worker on the one it rebuilt —
+    so a feature of "running one shard" is written once.  What differs
+    between them arrives as arguments: ``on_tick(done)`` is called
+    after every finished play (whatever it raises abandons the shard),
+    and ``budget`` is the run's live disk ledger, reachable only
+    in-process.
+
+    With ``spill_dir`` (streaming mode) records go to columnar disk
+    batches and mergeable sketches as they are produced, so nobody
+    ever holds the shard's records in memory; an abandoned shard
+    leaves only orphan batch files the next attempt overwrites.
+    """
+    started = time.monotonic()
+    min_batch = pressure.min_batch_size if pressure is not None else 1
+    governor = (
+        MemoryGovernor(pressure.memory_soft_bytes, min_batch_size=min_batch)
+        if pressure is not None
+        else None
+    )
+    writer: SpillWriter | None = None
+    on_record = None
+
+    def tick(done: int, total: int) -> None:
+        on_tick(done)
+        # The play boundary is also the degradation point: a shard
+        # above the memory watermark, or writing under soft disk
+        # pressure, shrinks its spill batches (never the records) here,
+        # before the OOM killer picks a victim.
+        if governor is not None:
+            if writer is not None:
+                writer.shrink(governor.advise(writer.batch_size))
+            else:
+                governor.sample()
+        if (
+            writer is not None
+            and budget is not None
+            and budget.level() != "ok"
+        ):
+            writer.shrink(max(min_batch, writer.batch_size // 2))
+
+    result = ShardResult(spec.shard_id)
+    if spill_dir is not None:
+        writer = SpillWriter(spill_dir, spec.shard_id, budget=budget)
+        aggregates = StudyAggregates(
+            user_base_rank=user_base_ranks(study.schedule())
+        )
+
+        def on_record(record) -> None:
+            writer.add(record)
+            aggregates.add(record)
+
+    result.dataset = study.run_users(
+        spec.user_ids, progress=tick, on_record=on_record,
+        collect=writer is None,
+    )
+    if writer is not None:
+        result.spill = ShardSpill(spill_dir, writer.finish())
+        result.aggregates = aggregates.to_dict()
+        result.batch_shrinks = writer.shrinks
+        if budget is None:
+            result.uncharged_spill_bytes = writer.bytes_written
+    if governor is not None:
+        result.peak_rss_bytes = governor.peak_bytes
+    ledger = study.last_validation
+    if ledger is not None:
+        result.violations = ledger.summary()
+        result.checks_run = ledger.checks_run
+    result.elapsed_s = time.monotonic() - started
+    return result
+
+
 def _shard_worker(
     config: StudyConfig,
-    shard_id: int,
-    user_ids: tuple[str, ...],
+    spec: ShardSpec,
     attempt: int,
-    fault: FaultSpec | None,
     plan: FaultPlan | None,
     queue,
     spill_dir: str | None = None,
     pressure: PressureConfig | None = None,
 ) -> None:
+    shard_id = spec.shard_id
     try:
-        if (
-            fault is not None
-            and shard_id == fault.shard_id
-            and attempt <= fault.fail_attempts
-        ):
-            if fault.mode == "exit":
-                os._exit(13)
-            raise RuntimeError(
-                f"injected fault (shard {shard_id}, attempt {attempt})"
-            )
         injected = WorkerFaults(plan, shard_id, attempt)
         started = time.monotonic()
-        study = Study(config)
-        governor = (
-            MemoryGovernor(
-                pressure.memory_soft_bytes,
-                min_batch_size=pressure.min_batch_size,
-            )
-            if pressure is not None
-            else None
-        )
-        writer: SpillWriter | None = None
 
-        def tick(done: int, total: int) -> None:
+        def on_tick(done: int) -> None:
             # The tick doubles as the watchdog heartbeat: a worker that
-            # stops finishing plays stops beating.  With a memory
-            # governor the heartbeat is also the RSS sample point; a
-            # worker above the soft watermark shrinks its spill batches
-            # here, before the OOM killer picks a victim.
+            # stops finishing plays stops beating.
             queue.put(("tick", shard_id, done))
-            if governor is not None:
-                if writer is not None:
-                    writer.shrink(governor.advise(writer.batch_size))
-                else:
-                    governor.sample()
             injected.on_play_done(done)
 
-        if config.aggregation == "sketch" and spill_dir is not None:
-            # Streaming mode: records go to columnar disk batches and
-            # mergeable sketches as they are produced; the event queue
-            # carries only the spill index + serialized aggregates, so
-            # neither the worker nor the parent ever holds the shard's
-            # records in memory.
-            writer = SpillWriter(spill_dir, shard_id)
-            aggregates = StudyAggregates(
-                user_base_rank=user_base_ranks(study.schedule())
-            )
-
-            def on_record(record) -> None:
-                writer.add(record)
-                aggregates.add(record)
-
-            study.run_users(
-                user_ids, progress=tick, on_record=on_record, collect=False
-            )
-            payload: object = {
-                "spill_index": writer.finish(),
-                "aggregates": aggregates.to_dict(),
-                "spill_bytes": writer.bytes_written,
-            }
-        else:
-            dataset = study.run_users(user_ids, progress=tick)
-            payload = dataset.to_csv_string()
-        memory = governor.stats() if governor is not None else {}
-        if writer is not None and memory:
-            memory["batch_shrinks"] = writer.shrinks
-            memory["final_batch_size"] = writer.batch_size
-        ledger = study.last_validation
-        queue.put(
-            (
-                "finished",
-                shard_id,
-                attempt,
-                payload,
-                time.monotonic() - started,
-                ledger.summary() if ledger is not None else {},
-                ledger.checks_run if ledger is not None else 0,
-                memory,
-            )
+        result = simulate_shard(
+            Study(config), spec, on_tick,
+            spill_dir=spill_dir, pressure=pressure,
         )
+        result.attempts = attempt
+        # Unlike the in-process driver, a worker pays for rebuilding
+        # the world; its shard time says so.
+        result.elapsed_s = time.monotonic() - started
+        # The queue carries the records as CSV text, or only the spill
+        # index: the parent re-opens (and so re-validates) the spill.
+        if result.spill is not None:
+            payload: object = result.spill.index
+        else:
+            payload = result.dataset.to_csv_string()
+        result.dataset = result.spill = None
+        queue.put(("finished", shard_id, payload, result))
     except Exception:
+        # Broad on purpose: this is the process boundary.  Whatever the
+        # simulation raised, the traceback is shipped as a ``failed``
+        # event and the parent retries or quarantines the shard, so
+        # nothing is swallowed; KeyboardInterrupt/SystemExit still
+        # propagate.
         queue.put(("failed", shard_id, attempt, traceback.format_exc(limit=5)))
     finally:
         # Shutdown sentinel: tells the parent this attempt's events are
@@ -262,7 +294,6 @@ def run_shards(
     shards: Sequence[ShardSpec],
     workers: int,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    fault: FaultSpec | None = None,
     on_event: EventCallback | None = None,
     poll_interval_s: float = 0.05,
     plan: FaultPlan | None = None,
@@ -274,11 +305,11 @@ def run_shards(
 ) -> dict[int, ShardResult]:
     """Run every shard on a bounded pool; return results keyed by id.
 
-    ``spill_dir`` (with ``config.aggregation == "sketch"``) switches
-    workers to the streaming record path: shard records spill to
-    columnar batches under it and results carry a
+    ``spill_dir`` switches workers to the streaming record path: shard
+    records spill to columnar batches under it and results carry a
     :class:`~repro.core.spill.ShardSpill` + aggregates instead of an
-    in-memory dataset.
+    in-memory dataset.  ``plan`` carries the ``worker.play`` faults to
+    inject.
 
     ``should_stop`` is polled between events; when it turns true the
     pool stops launching, drains already-reported results (so they are
@@ -321,11 +352,7 @@ def run_shards(
             )
         else:
             results[shard_id] = ShardResult(
-                shard_id=shard_id,
-                dataset=None,
-                elapsed_s=0.0,
-                attempts=attempts[shard_id],
-                error=error,
+                shard_id, attempts=attempts[shard_id], error=error
             )
             emit(
                 "failed_final", shard_id,
@@ -344,10 +371,7 @@ def run_shards(
             if shard_id in running:
                 emit("tick", shard_id, done=event[2])
         elif kind == "finished":
-            (
-                _kind, _sid, attempt, payload, elapsed, violations, checks,
-                memory,
-            ) = event
+            _kind, _sid, payload, result = event
             proc = running.pop(shard_id, None)
             if proc is not None:
                 proc.join()
@@ -356,47 +380,14 @@ def run_shards(
                 # spill; damage retries the shard like any worker
                 # failure instead of sinking the pool.
                 try:
-                    spill = ShardSpill(spill_dir, payload["spill_index"])
+                    result.spill = ShardSpill(spill_dir, payload)
                 except SpillError as exc:
                     retry_or_fail(shard_id, f"bad spill: {exc}")
                     return
-                results[shard_id] = ShardResult(
-                    shard_id=shard_id,
-                    dataset=None,
-                    elapsed_s=elapsed,
-                    attempts=attempt,
-                    violations=violations,
-                    checks_run=checks,
-                    spill=spill,
-                    aggregates=payload["aggregates"],
-                )
-                emit(
-                    "finished", shard_id,
-                    attempt=attempt, elapsed_s=elapsed,
-                    records=spill.count, dataset=None,
-                    spill=spill, spill_index=payload["spill_index"],
-                    aggregates=payload["aggregates"],
-                    spill_bytes=payload.get("spill_bytes", 0),
-                    violations=violations, checks_run=checks,
-                    memory=memory,
-                )
-                return
-            dataset = StudyDataset.from_csv_string(payload)
-            results[shard_id] = ShardResult(
-                shard_id=shard_id,
-                dataset=dataset,
-                elapsed_s=elapsed,
-                attempts=attempt,
-                violations=violations,
-                checks_run=checks,
-            )
-            emit(
-                "finished", shard_id,
-                attempt=attempt, elapsed_s=elapsed,
-                records=len(dataset), dataset=dataset,
-                violations=violations, checks_run=checks,
-                memory=memory,
-            )
+            else:
+                result.dataset = StudyDataset.from_csv_string(payload)
+            results[shard_id] = result
+            emit("finished", shard_id, attempt=result.attempts, result=result)
         elif kind == "failed":
             _kind, _sid, attempt, error = event
             proc = running.pop(shard_id, None)
@@ -479,10 +470,8 @@ def run_shards(
                     target=_shard_worker,
                     args=(
                         config,
-                        spec.shard_id,
-                        spec.user_ids,
+                        spec,
                         attempts[spec.shard_id],
-                        fault,
                         plan,
                         queue,
                         spill_dir,

@@ -125,35 +125,35 @@ class TestFiguresCommand:
 
         captured = {}
 
-        def fake_main(argv):
-            captured["argv"] = argv
+        def fake_run(args):
+            captured["args"] = args
             return 0
 
-        monkeypatch.setattr(runner, "main", fake_main)
+        monkeypatch.setattr(runner, "run", fake_run)
         code = cli.main([
             "figures", "--seed", "9", "--scale", "0.03",
             "--aggregation", "sketch", "--users", "40", "--quiet",
         ])
         assert code == 0
-        argv = captured["argv"]
-        assert argv[argv.index("--aggregation") + 1] == "sketch"
-        assert argv[argv.index("--users") + 1] == "40"
-        assert argv[argv.index("--seed") + 1] == "9"
-        assert argv[argv.index("--scale") + 1] == "0.03"
-        assert "--quiet" in argv
+        args = captured["args"]
+        assert args.aggregation == "sketch"
+        assert args.users == 40
+        assert args.seed == 9
+        assert args.scale == 0.03
+        assert args.quiet
 
     def test_exact_mode_forwards_no_users_flag(self, monkeypatch):
         from repro.experiments import runner
 
         captured = {}
         monkeypatch.setattr(
-            runner, "main",
-            lambda argv: captured.setdefault("argv", argv) and 0 or 0,
+            runner, "run",
+            lambda args: captured.setdefault("args", args) and 0 or 0,
         )
         assert cli.main(["figures", "--quiet"]) == 0
-        argv = captured["argv"]
-        assert argv[argv.index("--aggregation") + 1] == "exact"
-        assert "--users" not in argv
+        args = captured["args"]
+        assert args.aggregation == "exact"
+        assert args.users is None
 
     def test_sketch_figures_round_trip(self, tmp_path):
         """End-to-end: ``repro figures --aggregation sketch`` renders
@@ -267,6 +267,28 @@ class TestChaosCommand:
         payload = json.loads(report_path.read_text())
         assert payload["ok"] is True
         assert payload["outcomes"][0]["status"] == "recovered"
+
+    def test_chaos_refuses_worker_faults_without_a_pool(
+        self, tmp_path, capsys
+    ):
+        """``--workers 1`` runs shards in-process: a worker.play fault
+        would never fire, so the matrix must refuse, not pass."""
+        import json
+
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "faults": [
+                {"site": "worker.play", "action": "crash", "shard": 0},
+            ],
+        }))
+        code = cli.main([
+            "chaos", "--plan", str(plan_path), "--workers", "1", "--quiet",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "needs workers >= 2" in captured.err
+        assert "all guarantees held" not in captured.out
 
     def test_chaos_pressure_matrix_rides_along(self, tmp_path, capsys):
         import json

@@ -7,12 +7,14 @@ runs that suffered worker crashes or were resumed from a checkpoint.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from repro.chaos import Fault, FaultPlan
 from repro.core.study import Study, StudyConfig
 from repro.core.submission import SubmissionSink
-from repro.runtime import FaultSpec, RuntimeConfig, run_study
+from repro.runtime import RuntimeConfig, run_study
 
 #: The determinism-regression slice: the paper's seed at scale 0.05
 #: (users trimmed so the 1/2/4-worker sweep stays test-suite friendly).
@@ -127,7 +129,7 @@ class TestDeterminismMatrix:
 
 
 class TestFaultInjection:
-    @pytest.mark.parametrize("mode", ["raise", "exit"])
+    @pytest.mark.parametrize("mode", ["raise", "crash"])
     def test_failed_worker_is_retried_records_exactly_once(
         self, mode, small_serial_csv
     ):
@@ -136,7 +138,9 @@ class TestFaultInjection:
             RuntimeConfig(
                 workers=2,
                 shard_count=4,
-                fault=FaultSpec(shard_id=1, fail_attempts=1, mode=mode),
+                fault_plan=FaultPlan(faults=(
+                    Fault("worker.play", mode, shard=1),
+                )),
             ),
         )
         assert result.complete
@@ -152,7 +156,9 @@ class TestFaultInjection:
                 workers=2,
                 shard_count=4,
                 max_retries=1,
-                fault=FaultSpec(shard_id=0, fail_attempts=99, mode="raise"),
+                fault_plan=FaultPlan(faults=(
+                    Fault("worker.play", "raise", shard=0, attempts=99),
+                )),
             ),
         )
         assert result.failed_shards == (0,)
@@ -220,7 +226,9 @@ class TestCheckpointResume:
                 shard_count=4,
                 max_retries=0,
                 checkpoint_dir=ckpt,
-                fault=FaultSpec(shard_id=2, fail_attempts=99, mode="exit"),
+                fault_plan=FaultPlan(faults=(
+                    Fault("worker.play", "crash", shard=2, attempts=99),
+                )),
             ),
         )
         assert first.failed_shards == (2,)
@@ -323,3 +331,297 @@ class TestRuntimeValidation:
         result = run_study(SMALL_CONFIG, RuntimeConfig(workers=1))
         assert result.telemetry.checks_run == 0
         assert "validation" not in result.manifest
+
+
+#: The two executors `run_study` derives from ``workers``: the
+#: in-process driver and the multiprocessing pool.  Both run the same
+#: shard body and feed the same settle handler, so every lifecycle
+#: case below must hold on either.
+EXECUTORS = {"in-process": 1, "pool": 2}
+
+SMALL_SKETCH = replace(SMALL_CONFIG, aggregation="sketch")
+
+#: Manifest fields that measure the wall clock (or name the executor).
+_TIMING_KEYS = {
+    "elapsed_s", "plays_per_second", "eta_s", "worker_utilization",
+    "workers", "memory_peak_bytes",
+}
+
+
+def _untimed(manifest: dict) -> dict:
+    out = {k: v for k, v in manifest.items() if k not in _TIMING_KEYS}
+    out["shards"] = [
+        {k: v for k, v in shard.items() if k not in _TIMING_KEYS}
+        for shard in manifest["shards"]
+    ]
+    return out
+
+
+@pytest.fixture(params=list(EXECUTORS.values()), ids=list(EXECUTORS))
+def executor(request) -> int:
+    """The ``workers`` value selecting one executor."""
+    return request.param
+
+
+#: The 4-user scale-0.02 governance probe: an impossible 1-byte RSS
+#: watermark shrinks every shard's spill batches at its first
+#: heartbeat, under a disk ledger that only counts.
+GOVERNED_CONFIG = StudyConfig(
+    seed=2001, scale=0.02, max_users=4, aggregation="sketch"
+)
+
+
+def _governed(workers: int) -> RuntimeConfig:
+    from repro.pressure import PressureConfig
+
+    return RuntimeConfig(
+        workers=workers,
+        pressure=PressureConfig(
+            max_disk_bytes=1 << 30, memory_soft_bytes=1, min_batch_size=256
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def lifecycle_reference():
+    """In-process reference runs the per-executor cases compare to."""
+    from repro.validate import COUNTING
+
+    return {
+        "plain": run_study(
+            SMALL_CONFIG, RuntimeConfig(workers=1, shard_count=4)
+        ),
+        "validated": run_study(
+            SMALL_CONFIG,
+            RuntimeConfig(workers=1, shard_count=4, validation=COUNTING),
+        ),
+        "governed": run_study(GOVERNED_CONFIG, _governed(1)),
+    }
+
+
+class TestShardLifecycle:
+    """One lifecycle, two executors (after `test_transport_tcp.py`'s
+    ``sender`` fixture): journal, resume, validation, governance, stop
+    and the manifest behave the same in-process and on the pool."""
+
+    @pytest.mark.parametrize(
+        "config", [SMALL_CONFIG, SMALL_SKETCH], ids=["exact", "sketch"]
+    )
+    def test_journal_entries_load_back_with_journaled_counts(
+        self, executor, config, tmp_path
+    ):
+        from repro.runtime import CheckpointStore
+
+        ckpt = tmp_path / "ckpt"
+        result = run_study(
+            config,
+            RuntimeConfig(
+                workers=executor, shard_count=4, checkpoint_dir=ckpt
+            ),
+        )
+        store = CheckpointStore(ckpt)
+        assert sorted(store.open(result.plan.fingerprint, resume=True)) \
+            == [0, 1, 2, 3]
+        for shard_id, stats in result.telemetry.shards.items():
+            if config.aggregation == "sketch":
+                loaded, aggregates = store.load_shard_spill(shard_id)
+                assert aggregates["records"] == stats.records
+            else:
+                loaded = store.load_shard(shard_id)
+            assert len(loaded) == stats.records == stats.plays
+
+    def test_kill_then_resume_resimulates_nothing_journaled(
+        self, executor, small_serial_csv, tmp_path
+    ):
+        ckpt = tmp_path / "ckpt"
+
+        def kill_after_one_shard(telemetry) -> None:
+            if any(s.status == "done" for s in telemetry.shards.values()):
+                raise KillRun
+
+        with pytest.raises(KillRun):
+            run_study(
+                SMALL_CONFIG,
+                RuntimeConfig(
+                    workers=executor, shard_count=4, checkpoint_dir=ckpt,
+                    progress=kill_after_one_shard,
+                ),
+            )
+        resume = RuntimeConfig(
+            workers=executor, shard_count=4, checkpoint_dir=ckpt,
+            resume=True,
+        )
+        resumed = run_study(SMALL_CONFIG, resume)
+        assert resumed.dataset.to_csv_string() == small_serial_csv
+        restored = [
+            s for s in resumed.telemetry.shards.values()
+            if s.status == "resumed"
+        ]
+        assert restored
+        assert (
+            resumed.telemetry.simulated_plays
+            == resumed.telemetry.total_plays
+            - sum(s.plays for s in restored)
+        )
+        again = run_study(SMALL_CONFIG, resume)
+        assert again.telemetry.simulated_plays == 0
+        assert again.dataset.to_csv_string() == small_serial_csv
+
+    def test_validated_run_reports_the_same_ledger(
+        self, executor, lifecycle_reference
+    ):
+        from repro.validate import COUNTING
+
+        result = run_study(
+            SMALL_CONFIG,
+            RuntimeConfig(
+                workers=executor, shard_count=4, validation=COUNTING
+            ),
+        )
+        reference = lifecycle_reference["validated"]
+        assert result.telemetry.checks_run > 0
+        assert result.telemetry.checks_run == reference.telemetry.checks_run
+        assert result.telemetry.violation_total == 0
+
+    def test_governed_sketch_run_reports_the_same_pressure(
+        self, executor, lifecycle_reference
+    ):
+        result = run_study(GOVERNED_CONFIG, _governed(executor))
+        reference = lifecycle_reference["governed"]
+        assert result.telemetry.batch_shrinks > 0
+        assert (
+            result.telemetry.batch_shrinks
+            == reference.telemetry.batch_shrinks
+        )
+        pressure, expected = (
+            result.manifest["pressure"], reference.manifest["pressure"]
+        )
+        assert pressure["used_bytes"] == expected["used_bytes"] > 0
+        assert pressure["by_category"] == expected["by_category"]
+
+    def test_stop_mid_shard_interrupts_with_honest_pending_shards(
+        self, executor, small_serial_csv, tmp_path
+    ):
+        ckpt = tmp_path / "ckpt"
+        seen = {"plays": 0}
+
+        def watch(telemetry) -> None:
+            seen["plays"] = telemetry.simulated_plays
+
+        result = run_study(
+            SMALL_CONFIG,
+            RuntimeConfig(
+                workers=executor, shard_count=2, checkpoint_dir=ckpt,
+                progress=watch, should_stop=lambda: seen["plays"] >= 1,
+            ),
+        )
+        assert result.interrupted and not result.complete
+        assert result.manifest["interrupted_by"] == "external"
+        pending = result.manifest["pending_shards"]
+        done = {
+            shard_id for shard_id, s in result.telemetry.shards.items()
+            if s.status == "done"
+        }
+        # Stopped at the first play boundary: the shard in flight was
+        # abandoned, and the manifest says so.
+        assert pending and sorted(done | set(pending)) == [0, 1]
+        assert not done & set(pending)
+        assert {r.user_id for r in result.dataset} == {
+            user for shard_id in done
+            for user in result.plan.shards[shard_id].user_ids
+        }
+        resumed = run_study(
+            SMALL_CONFIG,
+            RuntimeConfig(
+                workers=executor, shard_count=2, checkpoint_dir=ckpt,
+                resume=True,
+            ),
+        )
+        assert resumed.complete
+        assert resumed.dataset.to_csv_string() == small_serial_csv
+
+    def test_run_manifest_equal_once_timing_is_dropped(
+        self, executor, lifecycle_reference
+    ):
+        result = run_study(
+            SMALL_CONFIG, RuntimeConfig(workers=executor, shard_count=4)
+        )
+        assert _untimed(result.manifest) == _untimed(
+            lifecycle_reference["plain"].manifest
+        )
+
+    def test_lifecycle_log_records_the_same_event_sequence(
+        self, executor, caplog
+    ):
+        with caplog.at_level("INFO", logger="repro.runtime"):
+            result = run_study(
+                SMALL_CONFIG, RuntimeConfig(workers=executor, shard_count=3)
+            )
+        by_shard: dict[int, list[str]] = {}
+        for record in caplog.records:
+            if record.name != "repro.runtime":
+                continue
+            assert record.fingerprint == result.plan.fingerprint
+            assert record.attempt == 1
+            by_shard.setdefault(record.shard, []).append(record.event)
+            if record.event == "finished":
+                stats = result.telemetry.shards[record.shard]
+                assert record.records == stats.records
+                assert record.elapsed_s == stats.elapsed_s
+        assert by_shard == {
+            shard_id: ["started", "finished"] for shard_id in range(3)
+        }
+
+
+class TestWorkerFaultsNeedAPool:
+    """`worker.play` faults hit a worker process; in-process there is
+    none, and the fault used to be dropped silently (so `repro chaos
+    --workers 1` reported recoveries from faults that never fired)."""
+
+    PERMANENT_RAISE = FaultPlan(faults=(
+        Fault("worker.play", "raise", attempts=999),
+    ))
+
+    def test_in_process_rejects_the_plan(self):
+        with pytest.raises(ValueError, match="needs workers >= 2") as err:
+            RuntimeConfig(workers=1, fault_plan=self.PERMANENT_RAISE)
+        assert self.PERMANENT_RAISE.faults[0].label in str(err.value)
+
+    def test_pool_still_quarantines(self):
+        result = run_study(
+            SMALL_CONFIG,
+            RuntimeConfig(
+                workers=2, shard_count=2, max_retries=0,
+                fault_plan=self.PERMANENT_RAISE,
+            ),
+        )
+        assert result.failed_shards == (0, 1)
+        assert len(result.dataset) == 0
+
+    def test_other_sites_stay_legal_in_process(self):
+        plan = FaultPlan(faults=(
+            Fault("pressure.disk", "shrink", budget_bytes=1 << 20),
+            Fault("checkpoint.shard", "enospc"),
+        ))
+        assert RuntimeConfig(workers=1, fault_plan=plan).fault_plan is plan
+
+
+class TestStudyCsvPins:
+    """sha256 of the seed-2001 scale-0.02 study CSV, generated at the
+    commit before the executors were merged: every executor x record
+    path exports these exact bytes."""
+
+    SHA256 = (
+        "13076c9497edfc4682896ae2f2ee20b972578c71478eacf24a7b920a856a0730"
+    )
+
+    @pytest.mark.parametrize("aggregation", ["exact", "sketch"])
+    def test_seed_2001_scale_002_csv_pinned(
+        self, executor, aggregation, tmp_path
+    ):
+        result = run_study(
+            StudyConfig(seed=2001, scale=0.02, aggregation=aggregation),
+            RuntimeConfig(workers=executor, checkpoint_dir=tmp_path / "c"),
+        )
+        assert len(result.dataset) == 67
+        assert _csv_digest(result.dataset.to_csv_string()) == self.SHA256

@@ -9,8 +9,9 @@ buffer must never be misread as a crash (the ``bye`` sentinel drain).
 
 import pytest
 
+from repro.chaos import Fault, FaultPlan
 from repro.core.study import Study, StudyConfig
-from repro.runtime import FaultSpec, RuntimeConfig, run_study
+from repro.runtime import RuntimeConfig, run_study
 from repro.runtime.pool import BackoffPolicy, run_shards
 from repro.runtime.scheduler import plan_shards
 
@@ -53,7 +54,9 @@ class TestRetryBackoffIntegration:
             RuntimeConfig(
                 workers=2,
                 shard_count=4,
-                fault=FaultSpec(shard_id=1, fail_attempts=1, mode="raise"),
+                fault_plan=FaultPlan(faults=(
+                    Fault("worker.play", "raise", shard=1),
+                )),
                 backoff=BackoffPolicy(base_s=0.05, cap_s=0.5),
             ),
         )
@@ -74,7 +77,9 @@ class TestRetryBackoffIntegration:
             RuntimeConfig(
                 workers=2,
                 shard_count=4,
-                fault=FaultSpec(shard_id=0, fail_attempts=2, mode="raise"),
+                fault_plan=FaultPlan(faults=(
+                    Fault("worker.play", "raise", shard=0, attempts=2),
+                )),
                 backoff=BackoffPolicy(base_s=0.01, cap_s=0.1),
             ),
         )
@@ -118,7 +123,9 @@ class TestSentinelDrain:
             plan.shards,
             workers=2,
             max_retries=1,
-            fault=FaultSpec(shard_id=2, fail_attempts=1, mode="exit"),
+            plan=FaultPlan(faults=(
+                Fault("worker.play", "crash", shard=2),
+            )),
             backoff=BackoffPolicy(base_s=0.01, cap_s=0.1),
         )
         assert results[2].ok
