@@ -1,13 +1,17 @@
 """Raw simulator throughput: one full playback per benchmark round.
 
 Not a paper figure — a quick local read of what the packet-level
-simulation itself costs, on the two kinds of path a study is made of:
-a broadband UDP playback (~60+ packets/second for 60+ simulated
-seconds behind a bottleneck carrying cross traffic) and a ``T1/LAN``
-user, whose shared access link carries a second background timeline.
+simulation itself costs, on the two kinds of path a study is made of
+and on the second transport stack: a broadband UDP playback (~60+
+packets/second for 60+ simulated seconds behind a bottleneck carrying
+cross traffic), a ``T1/LAN`` user, whose shared access link carries a
+second background timeline, and the broadband user again under the
+``dash-abr-bbr`` scenario (``AbrPlayer`` over ``BbrConnection``, where
+the reliable stream and its congestion controller do the work).
 Each prints plays/s next to *scheduled events per play*: the second
 number has no noise in it, and it is the one that moves if background
-traffic drifts back onto the event heap.
+traffic drifts back onto the event heap — or stays put when a
+transport speed-up is real.
 
 The judged numbers are the perf ledger's
 (``perfledger/run.py --compare``, see ``perfledger/README.md``).
@@ -16,9 +20,12 @@ The judged numbers are the perf ledger's
 import pytest
 
 from repro.core.realtracer import RealTracer
+from repro.core.study import StudyConfig
 from repro.player.realplayer import RealPlayer
 from repro.rng import RngFactory
+from repro.world.paths import PathFactory
 from repro.world.population import build_population
+from repro.world.scenarios import get_scenario
 
 
 #: Per-round seed keys under which the server is available (an
@@ -26,8 +33,7 @@ from repro.world.population import build_population
 ROUND_KEYS = {"DSL/Cable": ("1", "2", "3"), "T1/LAN": ("1", "2", "4")}
 
 
-@pytest.mark.parametrize("connection", ROUND_KEYS)
-def test_bench_playback_throughput(benchmark, capsys, connection):
+def _us_user_and_clip(connection):
     rngs = RngFactory(1234)
     population = build_population(rngs, playlist_length=8)
     user = next(
@@ -39,6 +45,21 @@ def test_bench_playback_throughput(benchmark, capsys, connection):
         (s, c) for s, c in population.playlist
         if c.ladder.highest.total_bps >= 225_000
     )
+    return rngs, user, site, clip
+
+
+def _report(benchmark, capsys, case, loops):
+    events = sum(loop.scheduled for loop in loops) / len(loops)
+    with capsys.disabled():
+        print(
+            f"\n{case}: {1.0 / benchmark.stats.stats.mean:.1f} plays/s, "
+            f"{events:,.0f} scheduled events/play"
+        )
+
+
+@pytest.mark.parametrize("connection", ROUND_KEYS)
+def test_bench_playback_throughput(benchmark, capsys, connection):
+    rngs, user, site, clip = _us_user_and_clip(connection)
     loops = []
 
     def player_factory(loop, *args):
@@ -54,9 +75,34 @@ def test_bench_playback_throughput(benchmark, capsys, connection):
 
     record = benchmark.pedantic(play_once, rounds=3, iterations=1)
     assert record.outcome == "played"
-    events = sum(loop.scheduled for loop in loops) / len(loops)
-    with capsys.disabled():
-        print(
-            f"\n{connection}: {1.0 / benchmark.stats.stats.mean:.1f} plays/s, "
-            f"{events:,.0f} scheduled events/play"
+    _report(benchmark, capsys, connection, loops)
+
+
+class _LoopRecordingPaths(PathFactory):
+    """``AbrPlayer`` is not built through ``player_factory``; the path
+    factory is the hook that sees the loop of either stack."""
+
+    def __init__(self):
+        super().__init__()
+        self.loops = []
+
+    def build(self, loop, *args, **kwargs):
+        self.loops.append(loop)
+        return super().build(loop, *args, **kwargs)
+
+
+def test_bench_dash_abr_bbr_throughput(benchmark, capsys):
+    rngs, user, site, clip = _us_user_and_clip("DSL/Cable")
+    config = get_scenario("dash-abr-bbr").configure(StudyConfig()).tracer
+    paths = _LoopRecordingPaths()
+
+    def play_once():
+        tracer = RealTracer(config, path_factory=paths)
+        return tracer.play_clip(
+            user, site, clip,
+            rngs.child("bench", ROUND_KEYS["DSL/Cable"][len(paths.loops)]),
         )
+
+    record = benchmark.pedantic(play_once, rounds=3, iterations=1)
+    assert (record.outcome, record.protocol) == ("played", "TCP")
+    _report(benchmark, capsys, "dash-abr-bbr", paths.loops)

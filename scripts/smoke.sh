@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 smoke: the full unit suite (golden-figure regression
-# included), a quick throughput benchmark (a broadband UDP play and a
-# two-timeline T1/LAN play, plays/s and scheduled events per play), the
+# included), a quick throughput benchmark (a broadband UDP play, a
+# two-timeline T1/LAN play and a dash-abr-bbr play, plays/s and
+# scheduled events per play), the
 # perf ledger's self-test (the harness that judges each PR is itself
 # checked), a tiny parallel
 # study through the repro.runtime engine (2 workers, checkpointed), a
@@ -34,7 +35,7 @@ python -m pytest -x -q
 echo "== golden-figure regression =="
 python -m pytest -x -q tests/test_goldens.py
 
-echo "== quick throughput benchmark (DSL/Cable + T1/LAN) =="
+echo "== quick throughput benchmark (DSL/Cable + T1/LAN + dash-abr-bbr) =="
 python -m pytest -x -q --quick benchmarks/test_bench_throughput.py
 
 echo "== perf ledger self-test =="

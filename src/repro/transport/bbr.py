@@ -25,6 +25,7 @@ round-trip counts.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 
 from repro.net.path import NetworkPath
@@ -59,6 +60,37 @@ FULL_BW_GROWTH = 1.25
 FILTER_WINDOW_S = 10.0
 
 
+class _WindowedExtremum:
+    """Max (or min) of the samples of the last ``FILTER_WINDOW_S``.
+
+    A monotonic deque: a sample that is older *and* no better than a
+    later one can never be the window's extremum again, so it is
+    dropped from the back on insert and the head is always the answer —
+    amortised O(1) per sample, a handful of samples resident.
+    """
+
+    __slots__ = ("_dominated", "_samples")
+
+    def __init__(self, keep_max: bool) -> None:
+        self._dominated = operator.le if keep_max else operator.ge
+        self._samples: deque[tuple[float, float]] = deque()
+
+    def add(self, now: float, value: float) -> None:
+        samples = self._samples
+        while samples and self._dominated(samples[-1][1], value):
+            samples.pop()
+        samples.append((now, value))
+
+    def read(self, now: float, held: float) -> float:
+        """The extremum of the window ending at ``now`` — or ``held``,
+        the caller's current estimate, when no sample is that recent."""
+        samples = self._samples
+        horizon = now - FILTER_WINDOW_S
+        while samples and samples[0][0] < horizon:
+            samples.popleft()
+        return samples[0][1] if samples else held
+
+
 class BbrConnection(ReliableStream):
     """Reliable, BBR-paced server-to-client stream."""
 
@@ -66,8 +98,8 @@ class BbrConnection(ReliableStream):
         super().__init__(loop, path, INITIAL_CWND)
         self._mode = "startup"
         self._delivered_bytes = 0
-        self._bw_samples: deque[tuple[float, float]] = deque()
-        self._rtt_samples: deque[tuple[float, float]] = deque()
+        self._bw_filter = _WindowedExtremum(keep_max=True)
+        self._rtt_filter = _WindowedExtremum(keep_max=False)
         self._btl_bw = 0.0
         self._min_rtt = INITIAL_RTT_S
         self._full_bw = 0.0
@@ -132,28 +164,19 @@ class BbrConnection(ReliableStream):
                 # (The RTO estimator in the core has its own RTT
                 # sample; the model uses the windowed-min filter.)
                 rtt = now - segment.sent_at
-                self._rtt_samples.append((now, rtt))
+                self._rtt_filter.add(now, rtt)
                 if rtt > 0:
                     rate = (
                         (self._delivered_bytes - segment.delivered_at_send)
                         * 8.0
                         / rtt
                     )
-                    self._bw_samples.append((now, rate))
+                    self._bw_filter.add(now, rate)
         self._update_model(now)
 
     def _update_model(self, now: float) -> None:
-        horizon = now - FILTER_WINDOW_S
-        samples = self._bw_samples
-        while samples and samples[0][0] < horizon:
-            samples.popleft()
-        rtts = self._rtt_samples
-        while rtts and rtts[0][0] < horizon:
-            rtts.popleft()
-        if samples:
-            self._btl_bw = max(rate for _, rate in samples)
-        if rtts:
-            self._min_rtt = min(rtt for _, rtt in rtts)
+        self._btl_bw = self._bw_filter.read(now, self._btl_bw)
+        self._min_rtt = self._rtt_filter.read(now, self._min_rtt)
 
         if self._mode == "startup":
             # One "round" per cwnd of ACKed data: check bandwidth growth.

@@ -12,7 +12,9 @@ Two kinds of pin, both free of wall-clock time:
 * scheduled-event counts: a path with only background load heaps
   nothing at all, and a fixed-seed broadband play stays under a bound
   the event-per-packet scheme exceeded by half — so cross traffic
-  cannot drift back onto the heap unnoticed.
+  cannot drift back onto the heap unnoticed.  The same user and clip
+  over the `dash-abr-bbr` stack has its own ceiling: a transport-layer
+  speed-up must come out of work per event, not out of more events.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from repro.player.realplayer import RealPlayer
 from repro.rng import RngFactory
 from repro.runtime import RuntimeConfig, run_study
 from repro.sim.engine import EventLoop
+from repro.transport.bbr import BbrConnection
 from repro.units import kbps
 from repro.validate import ValidationLedger
 from repro.validate.invariants import audit_path
 from repro.world.population import build_population
+from repro.world.scenarios import get_scenario
 
 RED_STUDY_CSV_SHA256 = (
     "8db7b7d1d30bc4905e72a3886aeca981d84904c62a7af692716f6ab28953e102"
@@ -43,6 +47,10 @@ DEFAULT_STUDY_CSV_SHA256 = (
 #: One DSL/Cable UDP play (below) heaped 18,829 events when every
 #: background packet was three of them; 12,472 now.
 BROADBAND_PLAY_EVENT_BOUND = 14_000
+#: The same user and clip as a `dash-abr-bbr` play (AbrPlayer over
+#: BbrConnection) heaped 18,907 events at the commit before the BBR
+#: filters stopped rescanning their history; the bound is 10 % above.
+DASH_BBR_PLAY_EVENT_BOUND = 20_800
 
 
 def _study_digest(config: StudyConfig) -> str:
@@ -85,7 +93,9 @@ class TestBackgroundStaysOffTheHeap:
         audit_path(ledger, path)
         assert ledger.summary() == {}
 
-    def test_broadband_udp_play_event_count_is_bounded(self):
+    @staticmethod
+    def _broadband_play():
+        """(rngs, user, site, clip) of the seed-1234 US DSL/Cable play."""
         rngs = RngFactory(1234)
         population = build_population(rngs, playlist_length=8)
         user = next(
@@ -97,6 +107,10 @@ class TestBackgroundStaysOffTheHeap:
             (s, c) for s, c in population.playlist
             if c.ladder.highest.total_bps >= 225_000
         )
+        return rngs, user, site, clip
+
+    def test_broadband_udp_play_event_count_is_bounded(self):
+        rngs, user, site, clip = self._broadband_play()
         loops = []
 
         def player_factory(loop, *args):
@@ -108,3 +122,14 @@ class TestBackgroundStaysOffTheHeap:
         )
         assert (record.outcome, record.protocol) == ("played", "UDP")
         assert 5_000 < loops[0].scheduled < BROADBAND_PLAY_EVENT_BOUND
+
+    def test_dash_bbr_play_event_count_is_bounded(self):
+        rngs, user, site, clip = self._broadband_play()
+        tracer = RealTracer(
+            get_scenario("dash-abr-bbr").configure(StudyConfig()).tracer
+        )
+        record = tracer.play_clip(user, site, clip, rngs.child("bench", "1"))
+        assert (record.outcome, record.protocol) == ("played", "TCP")
+        assert isinstance(tracer.last_player.session.tcp, BbrConnection)
+        scheduled = tracer.last_player._loop.scheduled
+        assert 10_000 < scheduled < DASH_BBR_PLAY_EVENT_BOUND

@@ -1,12 +1,16 @@
 """The reliable stream under both senders (reliability, ordering, API
-contract — one suite, parametrized over Reno and BBR), plus Reno's
-congestion control."""
+contract, cost per segment — one suite, parametrized over Reno and
+BBR), plus Reno's congestion control."""
+
+import cProfile
+import pstats
 
 import pytest
 
 from repro.errors import ConnectionClosedError, TransportError
 from repro.net.packet import Packet, PacketKind
 from repro.net.path import NetworkPath, PathProfile
+from repro.sim.engine import EventLoop
 from repro.transport.base import MSS_BYTES
 from repro.transport.bbr import BbrConnection
 from repro.transport.tcp import INITIAL_CWND, TcpConnection
@@ -35,6 +39,19 @@ def run_transfer(loop, path, count, size=1000, until=None,
     return conn, delivered
 
 
+def feed_app_limited(loop, conn, segments, start=0.0):
+    """Schedule `segments` x 1000 B from `start`, 20 every 0.4 s: an
+    application offering 400 kbit/s, whatever the path could carry."""
+    def burst(first):
+        for i in range(first, min(first + 20, segments)):
+            conn.send(i, 1000)
+
+    for first in range(0, segments, 20):
+        loop.schedule(
+            start + 0.4 * first / 20, lambda first=first: burst(first)
+        )
+
+
 #: `TcpStats` (segments_sent, segments_retransmitted, fast_retransmits,
 #: timeouts, acks_received) of 800 x 1000 B over `lossy_path` (rng seed
 #: 42), generated at the commit before the senders were split into
@@ -43,6 +60,11 @@ BULK_STATS_PINS = {
     TcpConnection: (826, 26, 15, 6, 794),
     BbrConnection: (905, 105, 98, 7, 849),
 }
+
+#: BBR's model at the end of the same transfer: (`delivery_rate_bps`,
+#: `_min_rtt`, `mode`), generated at the commit before the model's
+#: windowed filters stopped rescanning their sample history per ACK.
+BBR_BULK_MODEL_PIN = (331812.87967762264, 0.17725999999998265, "probe_bw")
 
 
 class TestReliableDelivery:
@@ -90,6 +112,10 @@ class TestReliableDelivery:
             stats.timeouts,
             stats.acks_received,
         ) == BULK_STATS_PINS[sender]
+        if sender is BbrConnection:
+            assert (
+                conn.delivery_rate_bps, conn._min_rtt, conn.mode
+            ) == BBR_BULK_MODEL_PIN
 
 
 class TestCongestionControl:
@@ -146,6 +172,40 @@ class TestCongestionControl:
         goodput = sum(received) * 8 / 30.0
         assert goodput <= kbps(100)
         assert goodput > kbps(50)  # but uses a decent share
+
+
+class TestCostPerSegment:
+    """A sender's work per segment does not grow with the connection's
+    age.  Counted in Python calls inside ``repro/transport/``, so the
+    guard carries no wall-clock noise: a controller that rescans its
+    history on every ACK (BBR's model did: 270 calls/segment at 250
+    segments, 957 at 4,000) fails both assertions."""
+
+    @staticmethod
+    def _calls_per_segment(sender, profile, rng, segments):
+        loop = EventLoop()
+        conn = sender(loop, NetworkPath(loop, profile, rng))
+        conn.on_deliver = lambda p, s: None
+        feed_app_limited(loop, conn, segments)  # a 512 kbit/s path: fits
+        profiler = cProfile.Profile()
+        profiler.runcall(loop.run)
+        assert conn.stats.messages_delivered == segments
+        assert conn.stats.segments_retransmitted == 0
+        calls = sum(
+            ncalls
+            for (filename, _line, _name), (_prim, ncalls, *_rest)
+            in pstats.Stats(profiler).stats.items()
+            if "/repro/transport/" in filename
+        )
+        return calls / segments
+
+    def test_transport_calls_per_segment_flat_in_history(
+        self, clean_profile, rng, sender
+    ):
+        short = self._calls_per_segment(sender, clean_profile, rng, 250)
+        long = self._calls_per_segment(sender, clean_profile, rng, 4000)
+        assert short <= 25 and long <= 25
+        assert abs(long - short) <= 0.10 * short
 
 
 class TestBacklog:
