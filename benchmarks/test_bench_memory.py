@@ -11,6 +11,7 @@ handling), measured under ``tracemalloc``.
 from __future__ import annotations
 
 import shutil
+import time
 import tracemalloc
 
 from repro.analysis.streaming import StudyAggregates
@@ -112,7 +113,7 @@ def _peak_of(fn) -> int:
     return peak
 
 
-def test_bench_streaming_memory_ceiling(benchmark, tmp_path):
+def test_bench_streaming_memory_ceiling(benchmark, tmp_path, capsys):
     n_users = 1600  # x 8 plays each = 12.8k records across 4 shards
     exact_peak = _peak_of(lambda: _run_exact(n_users))
     streaming_peak = _peak_of(lambda: _run_streaming(n_users, tmp_path))
@@ -136,4 +137,15 @@ def test_bench_streaming_memory_ceiling(benchmark, tmp_path):
         shutil.rmtree(tmp_path / f"spill-{n_users}")
         return _run_streaming(n_users, tmp_path)
 
+    started = time.perf_counter()
     benchmark.pedantic(once, rounds=1, iterations=1)
+    elapsed = time.perf_counter() - started
+    records = n_users * PLAYS_PER_USER
+    with capsys.disabled():  # shown under -q too (scripts/smoke.sh)
+        print(
+            f"\nstreaming record path: {records / elapsed:,.0f} records/s "
+            f"untraced ({records} records, spill + sketch + CSV); "
+            f"tracemalloc peaks: exact {exact_peak / 1e6:.1f} MB, "
+            f"streaming {streaming_peak / 1e6:.1f} MB, "
+            f"4x records {big_peak / 1e6:.1f} MB"
+        )

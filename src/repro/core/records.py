@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import MISSING, dataclass, fields
+from itertools import islice, repeat, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -109,7 +111,7 @@ class ClipRecord:
         return self.frames_displayed >= 3
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ClipRecord)}
+_FIELD_NAMES = tuple(f.name for f in fields(ClipRecord))
 _INT_FIELDS = {
     f.name
     for f in fields(ClipRecord)
@@ -120,6 +122,96 @@ _FLOAT_FIELDS = {
     for f in fields(ClipRecord)
     if f.type in ("float", float)
 }
+#: What a CSV cell of each numeric field is parsed with (string fields
+#: are taken as they are).
+_PARSERS = {
+    **{name: int for name in _INT_FIELDS},
+    **{name: float for name in _FLOAT_FIELDS},
+}
+#: Fields a CSV may omit (pre-ABR files do), and the value they get.
+_DEFAULTS = {
+    f.name: f.default for f in fields(ClipRecord) if f.default is not MISSING
+}
+
+#: One record as one tuple in field order: the row of a CSV file and of
+#: a spill batch (`repro.core.spill`).  ``ClipRecord(*row)`` inverts it.
+record_to_row = operator.attrgetter(*_FIELD_NAMES)
+
+#: CSV rows converted per column-wise pass in ``StudyDataset._read_csv``.
+_CSV_READ_ROWS = 4096
+_LINE_NUM = operator.attrgetter("line_num")
+_ROW_OF = operator.itemgetter(0)
+
+
+def open_csv_rows(handle) -> Callable[[Iterable[tuple]], None]:
+    """Start a records CSV on ``handle``: writes the header row and
+    returns the function that appends a batch of rows (tuples in field
+    order).  Every CSV this package writes goes through here."""
+    writer = csv.writer(handle)
+    writer.writerow(_FIELD_NAMES)
+    return writer.writerows
+
+
+def _plan_columns(header: list[str]) -> list[int | None]:
+    """Where in a CSV row each :class:`ClipRecord` field sits (``None``:
+    the file omits a defaulted field).  Refuses a header this build
+    cannot map onto the record."""
+    position: dict[str, int] = {}
+    for index, name in enumerate(header):
+        if name not in _FIELD_NAMES:
+            raise ValueError(f"line 1: unknown column {name!r}")
+        if name in position:
+            raise ValueError(f"line 1: duplicated column {name!r}")
+        position[name] = index
+    for name in _FIELD_NAMES:
+        if name not in position and name not in _DEFAULTS:
+            raise ValueError(f"line 1: missing required column {name!r}")
+    return [position.get(name) for name in _FIELD_NAMES]
+
+
+def _parse_rows(
+    rows: tuple[list[str], ...],
+    lines: tuple[int, ...],
+    header: list[str],
+    plan: list[int | None],
+) -> Iterator[ClipRecord]:
+    """The records of a chunk of CSV rows, converted a column at a time
+    (``lines[i]`` is the line ``rows[i]`` ended on, for error messages)."""
+    if set(map(len, rows)) != {len(header)}:
+        for row, line in zip(rows, lines):
+            if len(row) > len(header):
+                raise ValueError(
+                    f"line {line}: {len(row)} fields, but the header "
+                    f"names {len(header)}"
+                )
+            if len(row) < len(header):
+                raise ValueError(
+                    f"line {line}: row ends before column "
+                    f"{header[len(row)]!r}"
+                )
+    columns = list(zip(*rows))
+    ordered: list = []
+    for name, source in zip(_FIELD_NAMES, plan):
+        if source is None:
+            ordered.append(repeat(_DEFAULTS[name]))
+            continue
+        column = columns[source]
+        parse = _PARSERS.get(name)
+        if parse is not None:
+            try:
+                column = list(map(parse, column))
+            except ValueError:
+                for value, line in zip(column, lines):
+                    try:
+                        parse(value)
+                    except ValueError:
+                        raise ValueError(
+                            f"line {line}: column {name!r}: cannot parse "
+                            f"{value!r} as {parse.__name__}"
+                        ) from None
+                raise  # pragma: no cover - some cell failed above
+        ordered.append(column)
+    return starmap(ClipRecord, zip(*ordered))
 
 
 class StudyDataset:
@@ -272,15 +364,9 @@ class StudyDataset:
         return buffer.getvalue()
 
     def _write_csv(self, handle) -> None:
-        names = [f.name for f in fields(ClipRecord)]
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        # A plain getattr row per record: ``asdict`` deep-copies every
-        # field and dominates shard-checkpoint writes at study scale.
-        writer.writerows(
-            [getattr(record, name) for name in names]
-            for record in self._records
-        )
+        # ``asdict`` would deep-copy every field; the attrgetter builds
+        # each row in one C call and ``writerows`` drains the map.
+        open_csv_rows(handle)(map(record_to_row, self._records))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "StudyDataset":
@@ -295,16 +381,29 @@ class StudyDataset:
 
     @classmethod
     def _read_csv(cls, handle) -> "StudyDataset":
-        reader = csv.DictReader(handle)
-        records = []
-        for row in reader:
-            converted: dict = {}
-            for key, value in row.items():
-                if key in _INT_FIELDS:
-                    converted[key] = int(value)
-                elif key in _FLOAT_FIELDS:
-                    converted[key] = float(value)
-                else:
-                    converted[key] = value
-            records.append(ClipRecord(**converted))
+        """Parse a records CSV, a bounded chunk of rows at a time.
+
+        The header may reorder columns or omit defaulted ones (pre-ABR
+        files); blank rows are skipped.  Anything else malformed — a
+        short or long row, an unknown, duplicated or missing column, an
+        unparsable number — raises one ``ValueError`` naming the
+        1-based line and the column.
+        """
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                return cls()
+            plan = _plan_columns(header)
+            # Each non-blank row paired with the line it ended on
+            # (``line_num`` is read after the row is), all in C.
+            numbered = filter(_ROW_OF, zip(
+                reader, map(_LINE_NUM, repeat(reader))
+            ))
+            records: list[ClipRecord] = []
+            while chunk := list(islice(numbered, _CSV_READ_ROWS)):
+                rows, lines = zip(*chunk)
+                records.extend(_parse_rows(rows, lines, header, plan))
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
         return cls(records)

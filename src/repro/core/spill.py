@@ -10,7 +10,7 @@ into serial user order out-of-core:
   shard with a JSON **index** recording the batch files, the total
   count, and the per-user run lengths (in shard order).
 - :class:`ShardSpill` is the streaming reader: it holds one batch in
-  memory at a time.
+  memory at a time and hands it back as lists of row tuples.
 - :func:`iter_merged_records` replays several shards' records in
   population order.  Shards are user-atomic and internally ordered by
   the population (the `repro.runtime` contract), so the merge is a
@@ -21,6 +21,16 @@ into serial user order out-of-core:
   of the `StudyDataset` surface the callers of a streaming run need:
   ``__len__``, ``__iter__`` and byte-identical CSV output.
 
+A **row** is one record as a tuple in field order
+(`repro.core.records.record_to_row`).  Rows cross into and out of numpy
+a bounded slice at a time — ``np.array(rows, dtype=RECORD_DTYPE)`` on
+the way in, ``array[a:b].tolist()`` on the way out, both one C call per
+slice — so at most :data:`_SLICE_ROWS` tuples ever sit beside a batch's
+arrays and the residency contract stays a function of ``batch_size``.
+The writer keeps an open batch as its converted slices and streams them
+into the ``.npy`` file behind one header: it holds what it was given,
+never a ``batch_size`` buffer that is mostly untouched pages.
+
 The batch files round-trip every field exactly (strings are validated
 against the dtype widths at write time — silent numpy truncation would
 corrupt records), so a spilled study's CSV is byte-identical to the
@@ -29,21 +39,28 @@ in-memory path's.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+import operator
 import os
 import re
 import shutil
 import tempfile
 import weakref
-from dataclasses import fields
+from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.records import ClipRecord, _FLOAT_FIELDS, _INT_FIELDS
+from repro.core.records import (
+    ClipRecord,
+    _FIELD_NAMES,
+    _FLOAT_FIELDS,
+    _INT_FIELDS,
+    open_csv_rows,
+    record_to_row,
+)
 
 #: Records buffered in memory per shard before a batch is flushed.
 DEFAULT_BATCH_SIZE = 8192
@@ -77,7 +94,10 @@ _STRING_WIDTHS = {
     "protocol": 8,
 }
 
-_FIELD_NAMES = tuple(f.name for f in fields(ClipRecord))
+#: Rows converted between tuples and numpy per C call (see the module
+#: docstring): large enough to amortize the call, small enough that the
+#: tuples in flight are noise beside one batch array.
+_SLICE_ROWS = 256
 
 
 def _dtype() -> np.dtype:
@@ -95,10 +115,17 @@ def _dtype() -> np.dtype:
 #: The structured dtype of one spilled record (one row per playback).
 RECORD_DTYPE = _dtype()
 
+#: The ``.npy`` header fields of a batch file, bar its shape.
+_NPY_HEADER = np.lib.format.header_data_from_array_1_0(
+    np.empty(0, dtype=RECORD_DTYPE)
+)
+
 _STRING_FIELDS = tuple(
     name for name in _FIELD_NAMES
     if name not in _INT_FIELDS and name not in _FLOAT_FIELDS
 )
+_strings_of = operator.attrgetter(*_STRING_FIELDS)
+_WIDTH_LIMITS = tuple(_STRING_WIDTHS[name] for name in _STRING_FIELDS)
 
 
 class SpillError(RuntimeError):
@@ -106,6 +133,8 @@ class SpillError(RuntimeError):
 
 
 def _check_widths(record: ClipRecord) -> None:
+    if not any(map(operator.gt, map(len, _strings_of(record)), _WIDTH_LIMITS)):
+        return
     for name in _STRING_FIELDS:
         value = getattr(record, name)
         if len(value) > _STRING_WIDTHS[name]:
@@ -115,13 +144,9 @@ def _check_widths(record: ClipRecord) -> None:
             )
 
 
-def row_to_record(row: np.void) -> ClipRecord:
+def row_to_record(row: tuple) -> ClipRecord:
     """Rebuild the exact :class:`ClipRecord` a spilled row came from."""
-    # ``.item()`` converts numpy scalars back to the Python str/int/
-    # float the record was built from — bit-identical for float64.
-    return ClipRecord(**{
-        name: row[name].item() for name in _FIELD_NAMES
-    })
+    return ClipRecord(*row)
 
 
 def batch_file_name(shard_id: int, batch: int) -> str:
@@ -202,8 +227,11 @@ class SpillWriter:
         self.shrinks = 0
         #: Bytes committed to disk so far (batch files + index).
         self.bytes_written = 0
-        self._buffer = np.zeros(batch_size, dtype=RECORD_DTYPE)
+        #: The open batch: converted slices of at most `_SLICE_ROWS`
+        #: rows (``_fill`` rows in all), then the rows not yet converted.
+        self._slices: list[np.ndarray] = []
         self._fill = 0
+        self._pending: list[tuple] = []
         self._batches: list[dict] = []
         self._users: list[list] = []  # [user_id, run_length] in order
         self._count = 0
@@ -213,29 +241,41 @@ class SpillWriter:
         if self._finished:
             raise SpillError("spill writer already finished")
         _check_widths(record)
-        row = self._buffer[self._fill]
-        for name in _FIELD_NAMES:
-            row[name] = getattr(record, name)
-        self._fill += 1
+        self._pending.append(record_to_row(record))
         self._count += 1
         if self._users and self._users[-1][0] == record.user_id:
             self._users[-1][1] += 1
         else:
             self._users.append([record.user_id, 1])
-        if self._fill == self.batch_size:
+        if len(self._pending) >= min(_SLICE_ROWS, self.batch_size - self._fill):
+            self._drain()
+
+    def _drain(self) -> None:
+        """Convert the pending rows (one C call), and write the batch
+        out once it is full."""
+        pending = self._pending
+        if pending:
+            self._slices.append(np.array(pending, dtype=RECORD_DTYPE))
+            self._fill += len(pending)
+            pending.clear()
+        if self._fill >= self.batch_size:
             self._flush_batch()
 
-    def _flush_batch(self) -> None:
-        name = batch_file_name(self.shard_id, len(self._batches))
+    def _commit_file(self, name: str, mode: str, write: Callable) -> None:
+        """Write ``name`` in the spill directory and charge its bytes.
+
+        Write-then-rename, so readers never observe a half-written
+        file: ``write(handle)`` fills a sibling temp file that is
+        fsynced and renamed into place.  The ``except BaseException``
+        is safe because it swallows nothing — it only unlinks the temp
+        file on the way out (KeyboardInterrupt and SystemExit included)
+        and always re-raises.
+        """
         path = self.directory / name
-        # Write-then-rename so readers never observe a half-written
-        # batch; the index names only fully flushed files.
-        fd, tmp = tempfile.mkstemp(
-            prefix=f"{name}.tmp.", dir=self.directory
-        )
+        fd, tmp = tempfile.mkstemp(prefix=f"{name}.tmp.", dir=self.directory)
         try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, self._buffer[: self._fill])
+            with os.fdopen(fd, mode) as handle:
+                write(handle)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -245,7 +285,6 @@ class SpillWriter:
             except OSError:
                 pass
             raise
-        self._batches.append({"file": name, "count": self._fill})
         try:
             size = path.stat().st_size
         except OSError:
@@ -253,26 +292,38 @@ class SpillWriter:
         self.bytes_written += size
         if self.budget is not None:
             self.budget.charge("spills", size, enforce=False)
-        self._fill = 0
+
+    def _flush_batch(self) -> None:
+        # The index names only fully flushed files.
+        name = batch_file_name(self.shard_id, len(self._batches))
+        slices, count = self._slices, self._fill
+
+        def write(handle) -> None:
+            # What ``np.save`` writes for the concatenated slices,
+            # without ever holding them concatenated.
+            np.lib.format.write_array_header_1_0(
+                handle, {**_NPY_HEADER, "shape": (count,)}
+            )
+            for rows in slices:
+                rows.tofile(handle)
+
+        self._commit_file(name, "wb", write)
+        self._batches.append({"file": name, "count": count})
+        self._slices, self._fill = [], 0
 
     def shrink(self, new_batch_size: int) -> int:
         """Degrade to a smaller batch size (memory or disk pressure).
 
-        Flushes the pending rows first if they no longer fit, then
-        reallocates the buffer.  Batch boundaries are not part of the
-        record math — the merged CSV is byte-identical under any shrink
-        sequence.  Never grows; returns the batch size now in effect.
+        Flushes the buffered rows first if they no longer fit.  Batch
+        boundaries are not part of the record math — the merged CSV is
+        byte-identical under any shrink sequence.  Never grows; returns
+        the batch size now in effect.
         """
         new_batch_size = max(1, int(new_batch_size))
         if self._finished or new_batch_size >= self.batch_size:
             return self.batch_size
-        if self._fill >= new_batch_size:
-            self._flush_batch()
-        buffer = np.zeros(new_batch_size, dtype=RECORD_DTYPE)
-        if self._fill:
-            buffer[: self._fill] = self._buffer[: self._fill]
-        self._buffer = buffer
         self.batch_size = new_batch_size
+        self._drain()  # flushes what no longer fits
         self.shrinks += 1
         return new_batch_size
 
@@ -281,6 +332,7 @@ class SpillWriter:
         ``shard_SSSS.spill.json`` in the spill directory)."""
         if self._finished:
             raise SpillError("spill writer already finished")
+        self._drain()
         if self._fill:
             self._flush_batch()
         self._finished = True
@@ -293,29 +345,10 @@ class SpillWriter:
             "batches": self._batches,
             "users": self._users,
         }
-        path = self.directory / index_file_name(self.shard_id)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f"{path.name}.tmp.", dir=self.directory
+        self._commit_file(
+            index_file_name(self.shard_id), "w",
+            lambda handle: json.dump(index, handle),
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(index, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        try:
-            size = path.stat().st_size
-        except OSError:
-            size = 0
-        self.bytes_written += size
-        if self.budget is not None:
-            self.budget.charge("spills", size, enforce=False)
         return index
 
     @property
@@ -379,8 +412,9 @@ class ShardSpill:
     def __len__(self) -> int:
         return self.count
 
-    def iter_rows(self) -> Iterator[np.void]:
-        """All rows in shard order, one batch in memory at a time."""
+    def _iter_arrays(self) -> Iterator[np.ndarray]:
+        """Every batch file in shard order, each checked against the
+        index as it loads; the total is checked after the last."""
         seen = 0
         for entry in self.index["batches"]:
             path = self.directory / entry["file"]
@@ -395,7 +429,7 @@ class ShardSpill:
                     f"corrupt spill batch {path}: dtype/count mismatch "
                     f"({len(array)} rows, index says {entry['count']})"
                 )
-            yield from array
+            yield array
             seen += len(array)
         if seen != self.count:
             raise SpillError(
@@ -403,14 +437,27 @@ class ShardSpill:
                 f"index says {self.count}"
             )
 
+    def iter_batches(self) -> Iterator[list[tuple]]:
+        """All rows in shard order as lists of at most
+        :data:`_SLICE_ROWS` tuples, one batch array in memory at a
+        time.  ``tolist`` converts to the Python str/int/float the
+        record was built from — bit-identical for float64."""
+        for array in self._iter_arrays():
+            for start in range(0, len(array), _SLICE_ROWS):
+                yield array[start:start + _SLICE_ROWS].tolist()
+
+    def iter_rows(self) -> Iterator[tuple]:
+        for rows in self.iter_batches():
+            yield from rows
+
     def iter_records(self) -> Iterator[ClipRecord]:
-        for row in self.iter_rows():
-            yield row_to_record(row)
+        for rows in self.iter_batches():
+            yield from starmap(ClipRecord, rows)
 
     def verify(self) -> None:
         """Check every batch file loads and matches the index (used by
         checkpoint resume before trusting a journaled spill)."""
-        for _row in self.iter_rows():
+        for _array in self._iter_arrays():
             pass
 
     def remove(self) -> None:
@@ -424,46 +471,51 @@ class ShardSpill:
             index_path.unlink()
 
 
-def iter_merged_rows(
+def iter_merged_batches(
     spills: Iterable[ShardSpill], user_order: Iterable[str]
-) -> Iterator[np.void]:
-    """All shards' rows, merged into population (= serial) order.
+) -> Iterator[list[tuple]]:
+    """All shards' rows, merged into population (= serial) order and
+    yielded a user run (or the part of one a batch slice holds) at a
+    time.
 
     Exploits the runtime contract: shards are user-atomic and each
     shard's rows are already in population order, so the merge walks
-    ``user_order`` once and drains each user's run from the single
+    ``user_order`` once and slices each user's run off the single
     shard that owns it.  Only one in-flight batch per shard is ever
     resident.
     """
-    owner: dict[str, int] = {}
-    runs: dict[int, dict[str, int]] = {}
-    iters: dict[int, Iterator[np.void]] = {}
+    owner: dict[str, tuple[int, int]] = {}  # user -> (shard, run length)
+    cursors: dict[int, list] = {}  # shard -> [batches, current rows, offset]
     for spill in spills:
-        iters[spill.shard_id] = spill.iter_rows()
-        runs[spill.shard_id] = {}
+        cursors[spill.shard_id] = [spill.iter_batches(), [], 0]
         for user_id, run in spill.user_runs:
             if user_id in owner:
                 raise SpillError(
                     f"user {user_id!r} appears in shards "
-                    f"{owner[user_id]} and {spill.shard_id}; shards "
+                    f"{owner[user_id][0]} and {spill.shard_id}; shards "
                     "must be user-atomic"
                 )
-            owner[user_id] = spill.shard_id
-            runs[spill.shard_id][user_id] = run
+            owner[user_id] = (spill.shard_id, run)
     for user_id in user_order:
-        shard_id = owner.pop(user_id, None)
+        shard_id, run = owner.pop(user_id, (None, 0))
         if shard_id is None:
             continue  # user simulated by no completed shard
-        run = runs[shard_id][user_id]
-        rows = iters[shard_id]
-        for _ in range(run):
-            try:
-                yield next(rows)
-            except StopIteration:  # pragma: no cover - verify() catches
-                raise SpillError(
-                    f"spill for shard {shard_id} exhausted mid-run "
-                    f"for user {user_id!r}"
-                ) from None
+        cursor = cursors[shard_id]
+        batches, rows, offset = cursor
+        while run:
+            if offset == len(rows):
+                rows = next(batches, None)
+                if rows is None:  # pragma: no cover - verify() catches
+                    raise SpillError(
+                        f"spill for shard {shard_id} exhausted mid-run "
+                        f"for user {user_id!r}"
+                    )
+                cursor[1], offset = rows, 0
+            piece = rows[offset:offset + run]
+            offset += len(piece)
+            run -= len(piece)
+            yield piece
+        cursor[2] = offset
     if owner:
         raise SpillError(
             f"spilled users not in user_order: {sorted(owner)[:5]!r}"
@@ -473,18 +525,16 @@ def iter_merged_rows(
 def iter_merged_records(
     spills: Iterable[ShardSpill], user_order: Iterable[str]
 ) -> Iterator[ClipRecord]:
-    for row in iter_merged_rows(spills, user_order):
-        yield row_to_record(row)
+    for rows in iter_merged_batches(spills, user_order):
+        yield from starmap(ClipRecord, rows)
 
 
-def write_rows_csv(handle, rows: Iterable[np.void]) -> None:
-    """Stream spilled rows as CSV, byte-identical to
+def write_rows_csv(handle, batches: Iterable[Iterable[tuple]]) -> None:
+    """Stream batches of spilled rows as CSV, byte-identical to
     :meth:`StudyDataset.to_csv` on the same records."""
-    writer = csv.writer(handle)
-    writer.writerow(list(_FIELD_NAMES))
-    writer.writerows(
-        [row[name].item() for name in _FIELD_NAMES] for row in rows
-    )
+    write_rows = open_csv_rows(handle)
+    for rows in batches:
+        write_rows(rows)
 
 
 class SpilledDataset:
@@ -531,34 +581,37 @@ class SpilledDataset:
     def spills(self) -> tuple[ShardSpill, ...]:
         return tuple(self._spills)
 
-    def iter_rows(self) -> Iterator[np.void]:
-        return iter_merged_rows(self._spills, self._user_order)
+    def iter_batches(self) -> Iterator[list[tuple]]:
+        """The rows in serial user order, a list per user run."""
+        return iter_merged_batches(self._spills, self._user_order)
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as handle:
-            write_rows_csv(handle, self.iter_rows())
+            write_rows_csv(handle, self.iter_batches())
 
     def to_csv_string(self) -> str:
         buffer = io.StringIO()
-        write_rows_csv(buffer, self.iter_rows())
+        write_rows_csv(buffer, self.iter_batches())
         return buffer.getvalue()
 
     def iter_csv_chunks(self, rows_per_chunk: int = 4096) -> Iterator[str]:
         """The CSV text in bounded-size string chunks (for streaming
         cache stores and HTTP responses)."""
+        rows_per_chunk = max(1, rows_per_chunk)
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(list(_FIELD_NAMES))
-        pending = 0
-        for row in self.iter_rows():
-            writer.writerow([row[name].item() for name in _FIELD_NAMES])
-            pending += 1
-            if pending >= rows_per_chunk:
+        write_rows = open_csv_rows(buffer)
+        room = rows_per_chunk  # rows the current chunk still takes
+        for rows in self.iter_batches():
+            while len(rows) >= room:
+                write_rows(rows[:room])
+                rows = rows[room:]
                 yield buffer.getvalue()
                 buffer.seek(0)
                 buffer.truncate(0)
-                pending = 0
-        if pending or buffer.tell():
+                room = rows_per_chunk
+            write_rows(rows)
+            room -= len(rows)
+        if buffer.tell():
             yield buffer.getvalue()
 
     def materialize(self):

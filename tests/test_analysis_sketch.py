@@ -271,7 +271,37 @@ class TestStreamingMoments:
             )
 
 
+def correlation_tolerance(xs, ys) -> float:
+    """How closely two correct Pearson implementations can be asked to
+    agree on this data: 1e-6, plus the digits cancellation takes.
+
+    Both centre the data on a mean that carries a rounding error of
+    about ``eps * |x|``; measured against the spread that is
+    ``eps * |x| / std(x)`` — the data's conditioning, ~1 for samples
+    around zero, ~2e11 for 7.3e11 +- 4.  The factor 16 is headroom over
+    the worst ratio seen (1.8, over 20,000 clustered streams of up to
+    200 points).  Zero spread needs no allowance: both report exactly 0.
+    """
+    eps = float(np.finfo(float).eps)
+
+    def conditioning(values) -> float:
+        spread = float(np.std(values))
+        return max(abs(v) for v in values) / spread if spread > 0.0 else 0.0
+
+    return 1e-6 + 16.0 * eps * max(conditioning(xs), conditioning(ys))
+
+
 class TestStreamingCorrelation:
+    @staticmethod
+    def check_against_batch(pairs):
+        streaming = StreamingCorrelation()
+        for x, y in pairs:
+            streaming.add(x, y)
+        xs, ys = [x for x, _y in pairs], [y for _x, y in pairs]
+        assert streaming.correlation == pytest.approx(
+            correlation(xs, ys), abs=correlation_tolerance(xs, ys)
+        )
+
     @given(
         st.lists(
             st.tuples(measurements, measurements), min_size=2, max_size=200
@@ -279,13 +309,34 @@ class TestStreamingCorrelation:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_batch_correlation(self, pairs):
-        streaming = StreamingCorrelation()
-        for x, y in pairs:
-            streaming.add(x, y)
-        batch = correlation(
-            [x for x, _y in pairs], [y for _x, y in pairs]
-        )
-        assert streaming.correlation == pytest.approx(batch, abs=1e-6)
+        self.check_against_batch(pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        # What hypothesis finds on some seeds: x clustered at 7.3e11
+        # within a few units, y a 0/1 flag.  Exact r = -0.75592894...;
+        # the Welford mean is off by an ulp of 7.3e11 (1.2e-4), so the
+        # streaming value agrees to ~1e-6 and no closer.
+        [(733007751709.0, 1.0), (733007751715.0, 0.0), (733007751723.0, 0.0)],
+        [(366503875743.0, 1.0), (366503875747.0, 0.0), (366503875755.0, 0.0)],
+        # 7.3e11 +- 4 on both axes, one value repeated.
+        [(7.3e11 + dx, 7.3e11 + dy) for dx, dy in
+         [(4, -4), (4, -3), (4, 0), (4, 2), (-4, 1), (-1, 4), (0, -2), (3, 3)]],
+        # One value repeated throughout: zero spread, exactly 0.0 from
+        # both, whatever the magnitude.
+        [(7.3e11, 1.0), (7.3e11, 2.0), (7.3e11, 5.0)],
+        [(0.1, 7.3e11 - 4), (0.1, 7.3e11), (0.1, 7.3e11 + 4)],
+    ])
+    def test_clustered_far_from_zero(self, pairs):
+        self.check_against_batch(pairs)
+
+    def test_tolerance_stays_tight_on_well_conditioned_data(self):
+        """The allowance is for cancellation only: samples spread like
+        study measurements are still held to 1e-6."""
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(0.0, 30.0, size=200).tolist()
+        ys = rng.uniform(0.0, 1e6, size=200).tolist()
+        assert correlation_tolerance(xs, ys) < 1.001e-6
+        assert correlation_tolerance([7.3e11 - 4, 7.3e11, 7.3e11 + 4], [0, 1, 0]) > 1e-4
 
     def test_refuses_below_two_points(self):
         streaming = StreamingCorrelation()

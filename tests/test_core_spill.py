@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.records import ClipRecord, StudyDataset
 from repro.core.spill import (
+    DEFAULT_BATCH_SIZE,
     RECORD_DTYPE,
     ShardSpill,
     SpilledDataset,
@@ -50,6 +55,17 @@ def make_record(user_id: str, position: int, **overrides) -> ClipRecord:
     )
     base.update(overrides)
     return ClipRecord(**base)
+
+
+def profiled_calls(fn):
+    """``fn()``'s result and every call (Python and builtin) ``cProfile``
+    saw it make: a cost with no wall clock in it."""
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn)
+    return result, sum(
+        ncalls for _prim, ncalls, *_rest
+        in pstats.Stats(profiler).stats.values()
+    )
 
 
 def spill_users(tmp_path, shard_id, users, plays=3, batch_size=4):
@@ -239,3 +255,51 @@ class TestRowConversion:
         assert isinstance(record.user_id, str)
         assert isinstance(record.frames_displayed, int)
         assert isinstance(record.jitter_s, float)
+
+
+class TestCostPerRecord:
+    """The record path's work per record, counted in Python calls under
+    ``cProfile`` (no wall clock, same style as the transport's
+    ``TestCostPerSegment``).  Moving one numpy scalar at a time cost
+    101.5 calls per record for write -> verify -> chunked CSV; moving
+    slices costs about 10."""
+
+    def test_write_verify_export_calls_per_record(self, tmp_path):
+        users = [f"user{i:04d}" for i in range(400)]
+        records = [make_record(u, k) for u in users for k in range(5)]
+
+        def path() -> str:
+            writer = SpillWriter(tmp_path, 0)
+            for record in records:
+                writer.add(record)
+            spill = ShardSpill(tmp_path, writer.finish())
+            spill.verify()
+            return "".join(SpilledDataset([spill], users).iter_csv_chunks())
+
+        text, calls = profiled_calls(path)
+        assert text == StudyDataset(records).to_csv_string()
+        assert calls / len(records) <= 40
+
+
+class TestResidency:
+    """The streaming path's peak allocation at the production batch
+    size, against the row-at-a-time build's on the same workload
+    (`benchmarks/test_bench_memory._run_streaming` under
+    ``tracemalloc``).  51,200 records in 4 shards fill whole batches, so
+    the merge holds four 8,192-row arrays: tuples are only ever held a
+    conversion slice at a time, and holding a batch as tuples beside its
+    array would read about +40 %."""
+
+    #: Measured at the commit before the columnar rewrite.
+    PARENT_PEAK = 72_575_671
+
+    def test_default_batch_peak_within_ten_percent(self, tmp_path, monkeypatch):
+        bench = pytest.importorskip("benchmarks.test_bench_memory")
+        monkeypatch.setattr(bench, "BATCH", DEFAULT_BATCH_SIZE)
+        tracemalloc.start()
+        try:
+            bench._run_streaming(6400, tmp_path)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.10 * self.PARENT_PEAK
