@@ -4,8 +4,10 @@
 Boots the server as a subprocess on a free port, POSTs a tiny study,
 follows the SSE stream to `done`, downloads the CSV and diffs it
 byte-for-byte against a direct `repro study` run of the same config,
-checks the manifest, then SIGTERMs the server and asserts a clean
-(code 0) drain.  Usage::
+checks the manifest, submits a second fresh study at another seed (it
+reuses the clip catalogue the first one built in the server process)
+and diffs that against `run_study` in this process, then SIGTERMs the
+server and asserts a clean (code 0) drain.  Usage::
 
     python scripts/serve_smoke.py WORKDIR [DIRECT_CSV]
 
@@ -23,7 +25,12 @@ import tempfile
 import urllib.request
 from pathlib import Path
 
+from repro.core.study import StudyConfig
+from repro.runtime import RuntimeConfig, run_study
+
 CONFIG = {"seed": 2001, "scale": 0.02}
+#: The second fresh study: another seed, same (default) playlist.
+SECOND_CONFIG = {"seed": 2002, "scale": 0.01, "max_users": 6}
 TIMEOUT_S = 300
 
 
@@ -42,6 +49,30 @@ def sse_frames(raw: str):
 def get(base: str, path: str) -> bytes:
     with urllib.request.urlopen(base + path, timeout=TIMEOUT_S) as resp:
         return resp.read()
+
+
+def run_to_done(base: str, config: dict) -> tuple[str, list, bytes]:
+    """POST a never-seen study, follow its SSE stream to `done`, and
+    return (job id, events, served CSV)."""
+    body = json.dumps(config).encode()
+    with urllib.request.urlopen(urllib.request.Request(
+        base + "/v1/studies", data=body, method="POST",
+        headers={"content-type": "application/json"},
+    ), timeout=TIMEOUT_S) as resp:
+        assert resp.status == 201, resp.status
+        job_id = json.loads(resp.read())["job_id"]
+    print(f"submitted {job_id} to {base}")
+
+    # the SSE stream runs from first state event to settle
+    events = list(sse_frames(
+        get(base, f"/v1/jobs/{job_id}/events").decode()
+    ))
+    kinds = [kind for kind, _ in events]
+    assert kinds[0] == "state" and kinds[-1] == "done", kinds
+    final = events[-1][1]
+    assert final["state"] == "done", final
+    print(f"SSE: {len(events)} events, {final['records']} records")
+    return job_id, events, get(base, f"/v1/jobs/{job_id}/study.csv")
 
 
 def main() -> int:
@@ -73,28 +104,8 @@ def main() -> int:
         assert match, f"no listen announcement in {line!r}"
         base = f"http://{match.group(1)}:{match.group(2)}"
 
-        body = json.dumps(CONFIG).encode()
-        with urllib.request.urlopen(urllib.request.Request(
-            base + "/v1/studies", data=body, method="POST",
-            headers={"content-type": "application/json"},
-        ), timeout=TIMEOUT_S) as resp:
-            assert resp.status == 201, resp.status
-            doc = json.loads(resp.read())
-        job_id = doc["job_id"]
-        print(f"submitted {job_id} to {base}")
-
-        # the SSE stream runs from first state event to settle
-        events = list(sse_frames(
-            get(base, f"/v1/jobs/{job_id}/events").decode()
-        ))
-        kinds = [kind for kind, _ in events]
-        assert kinds[0] == "state" and kinds[-1] == "done", kinds
-        final = events[-1][1]
-        assert final["state"] == "done", final
-        assert any(k == "telemetry" for k in kinds), kinds
-        print(f"SSE: {len(events)} events, {final['records']} records")
-
-        served = get(base, f"/v1/jobs/{job_id}/study.csv")
+        job_id, events, served = run_to_done(base, CONFIG)
+        assert any(kind == "telemetry" for kind, _ in events), events
         assert served == direct_csv.read_bytes(), (
             "served CSV differs from the direct `repro study` run"
         )
@@ -105,6 +116,17 @@ def main() -> int:
         stats = json.loads(get(base, "/v1/stats"))
         assert stats["simulated"] == 1 and stats["cache"]["stores"] == 1
         print(f"CSV byte-identical ({len(served)} bytes), manifest honest")
+
+        _job, _events, second = run_to_done(base, SECOND_CONFIG)
+        local = run_study(
+            StudyConfig.from_dict(SECOND_CONFIG), RuntimeConfig(workers=1)
+        ).dataset.to_csv_string()
+        assert second.decode("utf-8") == local, (
+            "second study's served CSV differs from an in-process run_study"
+        )
+        stats = json.loads(get(base, "/v1/stats"))
+        assert stats["simulated"] == 2, stats["simulated"]
+        print(f"second fresh study byte-identical ({len(second)} bytes)")
 
         server.send_signal(signal.SIGTERM)
         code = server.wait(timeout=TIMEOUT_S)

@@ -213,7 +213,7 @@ then
 fi
 echo "chaos smoke ok: worker.play plan refused at --workers 1"
 
-echo "== service smoke (serve, SSE, CSV diff, SIGTERM drain) =="
+echo "== service smoke (serve, SSE, CSV diff, second fresh seed, SIGTERM drain) =="
 # reuses the parallel-study stage's CSV as the direct-run reference
 python scripts/serve_smoke.py "$out/serve-smoke" "$out/smoke.csv"
 

@@ -112,7 +112,7 @@ def _make_scenes(
             float(rng.uniform(0.5 * mean_scene_s, 1.5 * mean_scene_s)),
             duration_s - cursor,
         )
-        action = float(np.clip(rng.normal(mean_action, 0.15), 0.0, 1.0))
+        action = min(max(rng.normal(mean_action, 0.15), 0.0), 1.0)
         scenes.append(Scene(start_s=cursor, duration_s=length, action=action))
         cursor += length
     return tuple(scenes)

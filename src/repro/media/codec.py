@@ -73,12 +73,16 @@ class EncodingLevel:
 
 
 class EncodingLadder:
-    """An ordered set of encoding levels for one SureStream clip."""
+    """An ordered set of encoding levels for one SureStream clip.
+
+    Immutable once built: the playlist's clips (and so their ladders)
+    are shared by every study and thread in the process.
+    """
 
     def __init__(self, levels: list[EncodingLevel]) -> None:
         if not levels:
             raise ValueError("a ladder needs at least one level")
-        ordered = sorted(levels, key=lambda lvl: lvl.total_bps)
+        ordered = tuple(sorted(levels, key=lambda lvl: lvl.total_bps))
         for expected_index, level in enumerate(ordered):
             if level.index != expected_index:
                 raise ValueError(

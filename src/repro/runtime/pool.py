@@ -250,7 +250,8 @@ def _shard_worker(
         )
         result.attempts = attempt
         # Unlike the in-process driver, a worker pays for rebuilding
-        # the world; its shard time says so.
+        # the seed's users (the clip catalogue too, if spawned rather
+        # than forked); its shard time says so.
         result.elapsed_s = time.monotonic() - started
         # The queue carries the records as CSV text, or only the spill
         # index: the parent re-opens (and so re-validates) the spill.

@@ -95,13 +95,15 @@ def render_figure_summary(result, config: StudyConfig) -> dict:
 def estimate_plays(config: StudyConfig) -> int:
     """Cheap scheduling-cost estimate (no population build): the
     paper's play count scaled by the config's scale/user/playlist
-    knobs.  DRR only needs relative weights, not exact counts."""
-    plays = PAPER_PLAYS * float(config.scale)
-    if config.max_users is not None:
-        plays *= min(1.0, config.max_users / PAPER_USERS)
+    knobs, and never below one play per user (the floor
+    ``Study._scaled_plays`` applies).  The user ratio is not capped:
+    populations expand past the paper's roster.  DRR only needs
+    relative weights, not exact counts."""
+    users = PAPER_USERS if config.max_users is None else config.max_users
+    plays = PAPER_PLAYS * float(config.scale) * users / PAPER_USERS
     if config.playlist_length is not None:
         plays *= min(1.0, config.playlist_length / PAPER_PLAYLIST)
-    return max(1, int(round(plays)))
+    return max(users, int(round(plays)))
 
 
 @dataclass

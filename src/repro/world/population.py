@@ -15,7 +15,8 @@ class StudyPopulation:
     """Everything the study orchestrator iterates over."""
 
     users: tuple[UserProfile, ...]
-    #: The shared playlist: ordered (site, clip) pairs.
+    #: The shared playlist: ordered (site, clip) pairs — one object per
+    #: process, whatever the seed (see ``build_playlist_clips``).
     playlist: tuple[tuple[ServerSite, VideoClip], ...]
 
     @property
@@ -63,4 +64,4 @@ def build_population(
     playlist = build_playlist_clips(
         playlist_length if playlist_length is not None else 98
     )
-    return StudyPopulation(users=tuple(users), playlist=tuple(playlist))
+    return StudyPopulation(users=tuple(users), playlist=playlist)

@@ -9,7 +9,9 @@ countries but names only 10 sites — we add a second US news site
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,9 +151,10 @@ def build_site_clips(site: ServerSite, count: int) -> list[VideoClip]:
     return clips
 
 
+@functools.lru_cache(maxsize=8)
 def build_playlist_clips(
     playlist_length: int = PLAYLIST_LENGTH,
-) -> list[tuple[ServerSite, VideoClip]]:
+) -> tuple[tuple[ServerSite, VideoClip], ...]:
     """The study playlist: (site, clip) pairs, interleaved.
 
     Clips from different sites are interleaved so that any playlist
@@ -159,6 +162,16 @@ def build_playlist_clips(
     per-site proportions — this is what makes Figure 8's per-country
     served counts come out right even though users play different
     prefix lengths.
+
+    The volunteers all played one pre-recorded playlist, and every clip
+    here is seeded from its own site and index, so the catalogue is a
+    function of ``playlist_length`` alone: it is built once per process
+    and the same immutable tuple is handed to every study, thread and
+    forked shard worker.  The memo key is the function's whole input —
+    when ``CLIP_LADDER_MIX`` and the duration constants become a frozen
+    ``WorldCalibration`` argument (ROADMAP item 4(b)), that argument
+    joins the key.  Two threads that both miss may each build a
+    catalogue; they are equal, and later callers share one of them.
     """
     per_site = playlist_site_counts(playlist_length)
     pools = {}
@@ -175,7 +188,7 @@ def build_playlist_clips(
     playlist: list[tuple[ServerSite, VideoClip]] = []
     credit = {site: 0.0 for site in pools}
     totals = {site: len(clips) for site, clips in pools.items()}
-    remaining = {site: list(clips) for site, clips in pools.items()}
+    remaining = {site: deque(clips) for site, clips in pools.items()}
     total_clips = sum(totals.values())
     for _ in range(total_clips):
         for site in pools:
@@ -185,5 +198,5 @@ def build_playlist_clips(
             (s for s in pools if remaining[s]), key=lambda s: credit[s]
         )
         credit[site] -= 1.0
-        playlist.append((site, remaining[site].pop(0)))
-    return playlist
+        playlist.append((site, remaining[site].popleft()))
+    return tuple(playlist)

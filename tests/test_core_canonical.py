@@ -10,9 +10,6 @@ results.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from dataclasses import dataclass, replace
 
 import pytest
@@ -23,6 +20,7 @@ from repro.errors import StudyError
 from repro.player.playout import PlayoutConfig
 from repro.server.session import SessionConfig
 from repro.validate import ValidationConfig
+from tests.test_world_servers import fresh_interpreter
 
 
 def _varied_config() -> StudyConfig:
@@ -102,19 +100,10 @@ class TestHashStability:
             " session=SessionConfig(adaptation_enabled=False))"
             ").canonical_hash())"
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         # PYTHONHASHSEED varies dict iteration hashing between runs;
         # the canonical hash must not care.
-        env["PYTHONHASHSEED"] = "12345"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == config.canonical_hash()
+        out = fresh_interpreter(code, hashseed="12345")
+        assert out == config.canonical_hash()
 
     def test_equivalent_floats_hash_equal(self):
         a = StudyConfig(scale=0.1 + 0.2)

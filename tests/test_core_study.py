@@ -1,10 +1,18 @@
 """Study orchestration."""
 
+import hashlib
+import multiprocessing as mp
+import os
+
 import pytest
 
+import repro.world.servers as servers
 from repro.core.study import Study, StudyConfig
 from repro.core.submission import SubmissionSink
 from repro.errors import StudyError
+from repro.runtime import RuntimeConfig, run_study
+from repro.world.scenarios import configured, get_scenario
+from tests.test_world_servers import fresh_interpreter
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +134,93 @@ class TestStudyConfig:
     def test_scaled_plays_bounded_by_playlist(self):
         study = Study(StudyConfig(seed=3, playlist_length=5, max_users=2))
         assert study._scaled_plays(98) == 5
+
+
+def _csv_sha(config: StudyConfig) -> str:
+    csv = Study(config).run().to_csv_string()
+    return hashlib.sha256(csv.encode("utf-8")).hexdigest()
+
+
+class TestSharedCatalogue:
+    """The playlist is seed-independent: one object per process."""
+
+    def test_studies_share_one_playlist_object(self):
+        a = Study(StudyConfig(seed=1, max_users=3))
+        b = Study(StudyConfig(seed=2, max_users=5))
+        swapped = Study(
+            StudyConfig(seed=3, max_users=4, scenario="all-broadband")
+        )
+        trimmed = Study(
+            StudyConfig(seed=4, max_users=70, scenario="no-massachusetts")
+        )
+        assert a.population.users != b.population.users
+        for study in (b, swapped, trimmed):
+            assert study.population.playlist is a.population.playlist
+
+    @pytest.mark.parametrize("scenario", ["baseline", "dash-abr-bbr"])
+    def test_output_independent_of_earlier_studies(self, scenario):
+        # Study B run after study A (which built the catalogue B
+        # reuses) must write what B writes alone in a fresh process.
+        def config(seed):
+            return configured(
+                get_scenario(scenario),
+                StudyConfig(seed=seed, playlist_length=6, max_users=3,
+                            scale=0.1),
+            )
+
+        Study(config(11)).run()
+        after_a = _csv_sha(config(12))
+        alone = fresh_interpreter(
+            "from repro.core.study import StudyConfig;"
+            "from repro.world.scenarios import configured, get_scenario;"
+            "from tests.test_core_study import _csv_sha;"
+            f"print(_csv_sha(configured(get_scenario({scenario!r}),"
+            " StudyConfig(seed=12, playlist_length=6, max_users=3,"
+            " scale=0.1))))"
+        )
+        assert after_a == alone
+
+
+class TestCatalogueBuildCost:
+    """Wall-clock-free guards: count ``make_clip`` calls."""
+
+    def test_five_studies_build_the_catalogue_once(self, monkeypatch):
+        calls = []
+        make_clip = servers.make_clip
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["url"])
+            return make_clip(*args, **kwargs)
+
+        monkeypatch.setattr(servers, "make_clip", counting)
+        servers.build_playlist_clips.cache_clear()
+        for seed in range(5):
+            run_study(
+                StudyConfig(seed=seed, max_users=2, scale=0.01),
+                RuntimeConfig(workers=1),
+            )
+        assert len(calls) == len(set(calls)) == 98
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="shard workers inherit the catalogue only under fork",
+    )
+    def test_forked_shard_workers_build_nothing(self, monkeypatch):
+        parent = os.getpid()
+        in_workers = mp.get_context("fork").Value("i", 0)
+        make_clip = servers.make_clip
+
+        def counting(*args, **kwargs):
+            if os.getpid() != parent:
+                with in_workers.get_lock():
+                    in_workers.value += 1
+            return make_clip(*args, **kwargs)
+
+        monkeypatch.setattr(servers, "make_clip", counting)
+        servers.build_playlist_clips.cache_clear()
+        result = run_study(
+            StudyConfig(seed=5, max_users=4, scale=0.01),
+            RuntimeConfig(workers=2),
+        )
+        assert len(result.dataset) == 4
+        assert in_workers.value == 0

@@ -4,6 +4,8 @@ import asyncio
 
 import pytest
 
+from repro.core.study import Study, StudyConfig
+from repro.serve.jobs import estimate_plays
 from repro.serve.scheduler import FairScheduler, QueueFull
 
 
@@ -140,3 +142,33 @@ class TestClose:
             return await asyncio.wait_for(task, timeout=5)
 
         assert asyncio.run(go()) is None
+
+
+class TestEstimatePlays:
+    """The DRR weight is an estimate of the plays a config schedules."""
+
+    @pytest.mark.parametrize(
+        "max_users", [None, 2, 5, 20, 63, 64, 100, 130, 260]
+    )
+    def test_within_half_of_the_real_schedule(self, max_users):
+        for scale in (0.01, 0.02, 0.03, 0.05, 0.1, 0.25, 0.5, 1.0):
+            config = StudyConfig(seed=3, max_users=max_users, scale=scale)
+            scheduled = sum(
+                plays for _user, plays in Study(config).schedule()
+            )
+            ratio = estimate_plays(config) / scheduled
+            assert 1 / 1.5 <= ratio <= 1.5, (max_users, scale, scheduled)
+
+    def test_expanded_and_tiny_studies(self):
+        # Past the paper's roster the cost keeps growing, and every
+        # user plays at least once however small the scale.
+        assert estimate_plays(StudyConfig(max_users=130, scale=0.03)) == 177
+        assert estimate_plays(StudyConfig(max_users=2, scale=0.01)) == 2
+
+    def test_monotone_in_users_beyond_the_roster(self):
+        for scale in (0.01, 0.1, 1.0):
+            costs = [
+                estimate_plays(StudyConfig(max_users=users, scale=scale))
+                for users in (63, 64, 130, 1000, 10**6)
+            ]
+            assert costs == sorted(set(costs))

@@ -1,5 +1,13 @@
 """Server sites and the study playlist."""
 
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +19,65 @@ from repro.world.servers import (
     build_site_clips,
     playlist_site_counts,
 )
+
+
+def catalogue_dump(playlist) -> list[dict]:
+    """Every field of every (site, clip) pair, floats as ``float.hex``."""
+    return [
+        {
+            "site": site.name,
+            "url": clip.url,
+            "title": clip.title,
+            "duration": clip.duration_s.hex(),
+            "content": clip.content.value,
+            "live": clip.live,
+            "ladder": [
+                [level.index, level.total_bps.hex(), level.audio.name,
+                 level.audio.rate_bps.hex(), level.frame_rate.hex(),
+                 level.keyframe_interval_s.hex()]
+                for level in clip.ladder
+            ],
+            "scenes": [
+                [scene.start_s.hex(), scene.duration_s.hex(),
+                 scene.action.hex()]
+                for scene in clip.scenes
+            ],
+        }
+        for site, clip in playlist
+    ]
+
+
+def catalogue_digest(playlist) -> str:
+    payload = json.dumps(
+        catalogue_dump(playlist), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def fresh_interpreter(code: str, hashseed: str = "0") -> str:
+    """Run ``code`` in a new interpreter from the repo root (so both
+    ``repro`` and ``tests`` import) and return its stripped stdout."""
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env["PYTHONHASHSEED"] = hashseed
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return out.stdout.strip()
+
+
+#: sha256 of ``catalogue_dump`` taken at the commit before the memo
+#: (np.clip clamp, list.pop(0) interleave): the cheaper cold build and
+#: the memo must both reproduce it.
+CATALOGUE_PINS = {
+    12: "e1167ea8689fdac1f9cce8ac84070904a66e9e4c53cbeaaee968484b2c9612e1",
+    98: "5329a0283eb06ae3eef2df593fd27edd2d95b7a2db0d6a881833bef864e5c012",
+}
 
 
 class TestSites:
@@ -118,3 +185,85 @@ class TestPlaylist:
         playlist = build_playlist_clips(98)
         for site, clip in playlist:
             assert site.name.lower().replace("/", ".") in clip.url
+
+
+class TestCatalogueMemo:
+    @pytest.mark.parametrize("length", sorted(CATALOGUE_PINS))
+    def test_catalogue_pinned(self, length):
+        assert (
+            catalogue_digest(build_playlist_clips(length))
+            == CATALOGUE_PINS[length]
+        )
+
+    @pytest.mark.parametrize("length", [1, 12, 50, 98, 150])
+    def test_memo_equals_uncached_build(self, length):
+        memoised = build_playlist_clips(length)
+        rebuilt = build_playlist_clips.__wrapped__(length)
+        assert memoised is not rebuilt
+        assert len(memoised) == len(rebuilt) == length
+        assert catalogue_dump(memoised) == catalogue_dump(rebuilt)
+
+    def test_digest_independent_of_hash_seed(self):
+        code = (
+            "from repro.world.servers import build_playlist_clips;"
+            "from tests.test_world_servers import catalogue_digest;"
+            "print(catalogue_digest(build_playlist_clips(98)))"
+        )
+        assert (
+            fresh_interpreter(code, hashseed="1")
+            == fresh_interpreter(code, hashseed="987654")
+            == CATALOGUE_PINS[98]
+        )
+
+    def test_concurrent_cold_calls_agree(self):
+        # lru_cache lets racing misses each build; what they build must
+        # be equal, and the memo must end up holding one of them.
+        workers = 2 * (os.cpu_count() or 1) + 2
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def cold_call(slot):
+            barrier.wait(timeout=30)
+            results[slot] = build_playlist_clips(12)
+
+        threads = [
+            threading.Thread(target=cold_call, args=(i,))
+            for i in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            build_playlist_clips.cache_clear()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert {catalogue_digest(r) for r in results} == {CATALOGUE_PINS[12]}
+        assert any(build_playlist_clips(12) is r for r in results)
+
+
+class TestCatalogueImmutable:
+    def test_shared_objects_are_frozen(self):
+        site, clip = build_playlist_clips(12)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clip.duration_s = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clip.scenes[0].action = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clip.ladder[0].total_bps = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clip.ladder[0].audio.rate_bps = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            site.unavailable_fraction = 0.0
+
+    def test_containers_have_no_mutators(self):
+        playlist = build_playlist_clips(12)
+        site, clip = playlist[0]
+        for container in (
+            playlist, playlist[0], clip.scenes, clip.ladder._levels,
+            site.content_kinds,
+        ):
+            assert type(container) is tuple
