@@ -5,9 +5,10 @@ Boots the server as a subprocess on a free port, POSTs a tiny study,
 follows the SSE stream to `done`, downloads the CSV and diffs it
 byte-for-byte against a direct `repro study` run of the same config,
 checks the manifest, submits a second fresh study at another seed (it
-reuses the clip catalogue the first one built in the server process)
+reuses the clip catalogue the simulation workers inherited at boot)
 and diffs that against `run_study` in this process, then SIGTERMs the
-server and asserts a clean (code 0) drain.  Usage::
+server and asserts a clean (code 0) drain that leaves no simulation
+worker behind.  Usage::
 
     python scripts/serve_smoke.py WORKDIR [DIRECT_CSV]
 
@@ -49,6 +50,22 @@ def sse_frames(raw: str):
 def get(base: str, path: str) -> bytes:
     with urllib.request.urlopen(base + path, timeout=TIMEOUT_S) as resp:
         return resp.read()
+
+
+def child_pids(pid: int) -> list[int]:
+    """Live (non-zombie) children of ``pid``, read from /proc."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we were listing
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            found.append(int(entry.name))
+    return sorted(found)
 
 
 def run_to_done(base: str, config: dict) -> tuple[str, list, bytes]:
@@ -103,6 +120,9 @@ def main() -> int:
         match = re.search(r"http://([\d.]+):(\d+)", line)
         assert match, f"no listen announcement in {line!r}"
         base = f"http://{match.group(1)}:{match.group(2)}"
+        # one simulation process per slot, there before the address is
+        workers = child_pids(server.pid)
+        assert len(workers) == 2, f"expected 2 worker processes: {workers}"
 
         job_id, events, served = run_to_done(base, CONFIG)
         assert any(kind == "telemetry" for kind, _ in events), events
@@ -126,12 +146,16 @@ def main() -> int:
         )
         stats = json.loads(get(base, "/v1/stats"))
         assert stats["simulated"] == 2, stats["simulated"]
+        assert stats["worker_restarts"] == 0, stats["worker_restarts"]
+        assert child_pids(server.pid) == workers, "a worker was replaced"
         print(f"second fresh study byte-identical ({len(second)} bytes)")
 
         server.send_signal(signal.SIGTERM)
         code = server.wait(timeout=TIMEOUT_S)
         assert code == 0, f"drain exited {code}"
-        print("serve smoke ok: SIGTERM drained, exit 0")
+        left = [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+        assert not left, f"workers {left} outlived the drained server"
+        print("serve smoke ok: SIGTERM drained, exit 0, no worker left")
         return 0
     finally:
         if server.poll() is None:

@@ -711,15 +711,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the study-as-a-service HTTP front end (JSON API + "
-             "SSE progress over the runtime's worker pool)",
+             "SSE progress; simulations run in worker processes)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8050,
                        help="TCP port (0: pick a free one)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="concurrent simulations (service worker slots)")
+                       help="concurrent simulations: one long-lived "
+                            "simulation process per slot, started at boot")
     serve.add_argument("--shard-workers", type=int, default=1,
-                       help="repro.runtime worker processes per simulation")
+                       help="repro.runtime shard processes inside each "
+                            "simulation (1: the slot's process runs it all)")
     serve.add_argument("--cache-dir", type=Path,
                        default=Path(".serve-cache"),
                        help="content-addressed study cache + checkpoint "

@@ -144,7 +144,12 @@ class ReproService:
             response = error_response(400, str(exc))
         except KeyError as exc:
             response = error_response(404, f"no such job {exc.args[0]!r}")
-        except Exception as exc:  # pragma: no cover - defensive
+        except OSError as exc:
+            # A handler's own file read failed (a cache entry collected
+            # between the job settling and the download).  Anything
+            # else is a bug: it propagates to asyncio's connection
+            # handler, which logs the traceback and drops this one
+            # connection — `handle` closes the socket either way.
             response = error_response(
                 500, f"{type(exc).__name__}: {exc}"
             )
@@ -368,8 +373,16 @@ async def serve_forever(
         max_cache_bytes=max_cache_bytes,
     )
     service = ReproService(manager, ServeFaults(fault_plan))
-    server = await asyncio.start_server(service.handle, host, port)
-    manager.start()
+    # The simulation processes come first: before the listener, the
+    # signal handlers and the executor exist there is no thread whose
+    # lock a fork could strand and no wakeup fd a child could write to.
+    manager.start_workers()
+    try:
+        server = await asyncio.start_server(service.handle, host, port)
+        manager.start()
+    except BaseException:
+        manager.close_workers()
+        raise
     if stop is None:
         stop = asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -406,3 +419,4 @@ async def serve_forever(
         for signum in installed:
             loop.remove_signal_handler(signum)
         server.close()
+        manager.close_workers()

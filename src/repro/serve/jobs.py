@@ -18,12 +18,16 @@ dedupe at both layers:
   redoing work.
 
 Execution: worker slots (asyncio tasks) pull simulations off the
-:class:`~repro.serve.scheduler.FairScheduler` and run them on a thread
-pool via :func:`repro.runtime.run_study` — checkpointed, resumable,
-and wired to the service's stop event through
-``RuntimeConfig.should_stop``, so SIGTERM drains in-flight runs into
-honest, resumable manifests while queued ones cancel with a clean
-state event.
+:class:`~repro.serve.scheduler.FairScheduler`; each slot owns one
+long-lived simulation process (`repro.serve.worker`) that runs
+:func:`repro.runtime.run_study` — checkpointed, resumable, and wired
+to the service's drain request through ``RuntimeConfig.should_stop``,
+so SIGTERM drains in-flight runs into honest, resumable manifests
+while queued ones cancel with a clean state event.  This process
+keeps the event loop, the cache probe/store, the disk ledger and the
+sweep report (IO-bound work on a small thread pool) and never
+executes a play: a reply does not wait for a simulation to yield the
+interpreter.
 """
 
 from __future__ import annotations
@@ -39,18 +43,18 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.chaos.seam import IoSeam
-from repro.core.spill import SpilledDataset
+from repro.core.spill import ShardSpill, SpillError, SpilledDataset
 from repro.core.study import StudyConfig
-from repro.errors import ServeError, StudyError
-from repro.pressure import (
-    DiskBudget,
-    DiskBudgetExceeded,
-    PressureConfig,
-    du_bytes,
-)
-from repro.runtime import RunTelemetry, RuntimeConfig, run_study
+from repro.errors import ReproError, ServeError, StudyError
+from repro.pressure import DiskBudget, DiskBudgetExceeded, du_bytes
 from repro.serve.broker import SseBroker
 from repro.serve.scheduler import FairScheduler, QueueFull
+from repro.serve.worker import (
+    SimulationFailed,
+    SimWorker,
+    WorkerDied,
+    start_workers,
+)
 from repro.sweep.cache import CSV_NAME, StudyCache
 from repro.sweep.compare import compare_sweep
 from repro.sweep.report import format_sweep_report, report_payload
@@ -62,34 +66,8 @@ PAPER_PLAYS = 2855
 PAPER_USERS = 63
 PAPER_PLAYLIST = 98
 
-#: Seconds between telemetry SSE snapshots per running simulation.
-TELEMETRY_INTERVAL_S = 0.25
-
 #: Fraction of plays lost to quarantine above which a study job fails.
 DEFAULT_QUARANTINE_THRESHOLD = 0.05
-
-
-def render_figure_summary(result, config: StudyConfig) -> dict:
-    """Render every paper figure from a streaming run's merged
-    aggregates (no record list is ever materialized) and return the
-    ``{figure_id: {"title", "headline"}}`` summary served at
-    ``/v1/jobs/{id}/figures`` and stored in the cache manifest."""
-    from repro.experiments.base import ExperimentContext, all_figures
-
-    ctx = ExperimentContext(
-        aggregates=result.aggregates,
-        population=result.population,
-        seed=config.seed,
-        scale=config.scale,
-    )
-    summary = {}
-    for figure in all_figures():
-        fig_result = figure.run(ctx)
-        summary[fig_result.figure_id] = {
-            "title": fig_result.title,
-            "headline": fig_result.headline,
-        }
-    return summary
 
 
 def estimate_plays(config: StudyConfig) -> int:
@@ -223,6 +201,17 @@ def _job_id(kind: str, digest: str) -> str:
     return f"{prefix}-{digest[:12]}"
 
 
+def _parsed(from_dict, data: dict):
+    """A client's config/spec through its parser.  A `StudyError`
+    answers 400 as it is; a field of the wrong type surfaces from the
+    parsers as a bare TypeError/ValueError, and it is the client's
+    mistake just the same."""
+    try:
+        return from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise StudyError(f"malformed submission: {exc}") from exc
+
+
 def sweep_digest(spec: SweepSpec) -> str:
     """Content address of a sweep submission: its name, baseline, and
     every cell's id + canonical config hash."""
@@ -245,7 +234,8 @@ class JobManager:
     """Registry + worker pool behind the HTTP front end.
 
     All public methods must run on the owning event loop's thread;
-    simulation work happens on the executor and reports back through
+    simulations run in the slots' worker processes, each relayed by a
+    thread of the executor that reports back through
     ``call_soon_threadsafe``.
     """
 
@@ -288,27 +278,49 @@ class JobManager:
             "gc_evicted": 0,
         }
         self.simulated = 0  # simulations actually run (not cache-served)
+        #: Simulation workers that died mid-run and were replaced.
+        self.worker_restarts = 0
         self.draining = False
-        self._stop_event = threading.Event()
+        #: Guards `budget.refused`, the one ledger field the relaying
+        #: threads update without the ledger's own lock.
+        self._ledger_lock = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._workers: list[SimWorker] = []
         self._slots: list[asyncio.Task] = []
 
     # -- lifecycle ----------------------------------------------------------
 
+    def start_workers(self) -> None:
+        """Start one simulation process per slot.  Call it before the
+        process grows threads (`serve_forever` does, before it
+        listens), so that they can be forked; `start` calls it
+        otherwise."""
+        self._workers = start_workers(self.workers, self.shard_workers)
+
+    def close_workers(self) -> None:
+        """Stop and reap every simulation process (idempotent)."""
+        for worker in self._workers:
+            worker.close()
+        self._workers = []
+
     def start(self) -> None:
         self._loop = asyncio.get_running_loop()
+        if not self._workers:
+            self.start_workers()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         if self.budget is not None:
             # Seed with what's already on disk (warm cache, leftover
             # checkpoints) so watermarks measure real occupancy.
             self.budget.seed("cache", du_bytes(self.cache_dir))
+        # One thread per slot relays its worker's messages and does the
+        # slot's cache IO; sweep reports assemble here too.
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
         self._slots = [
-            asyncio.ensure_future(self._slot_loop())
-            for _ in range(self.workers)
+            asyncio.ensure_future(self._slot_loop(worker))
+            for worker in self._workers
         ]
 
     def begin_shutdown(self) -> None:
@@ -317,7 +329,8 @@ class JobManager:
         if self.draining:
             return
         self.draining = True
-        self._stop_event.set()
+        for worker in self._workers:
+            worker.request_stop()
         for sim in self.scheduler.close():
             sim.state = "cancelled"
             sim.error = "server shutting down before the job started"
@@ -329,6 +342,7 @@ class JobManager:
             await asyncio.gather(*self._slots, return_exceptions=True)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
+        self.close_workers()
         for job in self.jobs.values():
             job.broker.close()
 
@@ -341,7 +355,7 @@ class JobManager:
         whether this call created it."""
         self._refuse_if_draining()
         self._refuse_if_pressured()
-        config = StudyConfig.from_dict(config_data)  # StudyError -> 400
+        config = _parsed(StudyConfig.from_dict, config_data)
         # `aggregation` is an execution knob excluded from the canonical
         # hash (and therefore dropped by from_dict): re-apply it so a
         # sketch-mode submission streams its records and renders
@@ -383,8 +397,12 @@ class JobManager:
         """Register (or attach to) a sweep job."""
         self._refuse_if_draining()
         self._refuse_if_pressured()
-        spec = SweepSpec.from_dict(spec_data)  # SweepError -> 400
-        digest = sweep_digest(spec)
+
+        def parse(data: dict) -> tuple[SweepSpec, str]:
+            spec = SweepSpec.from_dict(data)
+            return spec, sweep_digest(spec)  # resolves every cell
+
+        spec, digest = _parsed(parse, spec_data)
         job_id = _job_id("sweep", digest)
         existing = self.jobs.get(job_id)
         if existing is not None:
@@ -480,23 +498,24 @@ class JobManager:
 
     # -- execution ----------------------------------------------------------
 
-    async def _slot_loop(self) -> None:
+    async def _slot_loop(self, worker: SimWorker) -> None:
         while True:
             sim = await self.scheduler.next()
             if sim is None:
                 return
-            await self._run_simulation(sim)
+            await self._run_simulation(sim, worker)
 
-    async def _run_simulation(self, sim: Simulation) -> None:
+    async def _run_simulation(
+        self, sim: Simulation, worker: SimWorker
+    ) -> None:
         assert self._loop is not None and self._executor is not None
         sim.state = "running"
         self._fanout(sim)
-        try:
-            outcome = await self._loop.run_in_executor(
-                self._executor, self._execute, sim
-            )
-        except Exception as exc:  # defensive: executor died
-            outcome = {"state": "failed", "error": repr(exc)}
+        # No handler here: `_execute` turns everything that can reach
+        # it, a dead worker included, into a `failed` outcome.
+        outcome = await self._loop.run_in_executor(
+            self._executor, self._execute, sim, worker
+        )
         sim.state = outcome["state"]
         sim.source = outcome.get("source")
         sim.error = outcome.get("error", "")
@@ -513,12 +532,16 @@ class JobManager:
             self.simulated += 1
         if outcome.get("store_skipped"):
             self.store_skips += 1
+        if outcome.get("worker_restarted"):
+            self.worker_restarts += 1
         self._fanout(sim)
 
-    def _execute(self, sim: Simulation) -> dict:
-        """Worker-thread body: cache probe, else checkpointed run."""
+    def _execute(self, sim: Simulation, worker: SimWorker) -> dict:
+        """Slot-thread body: cache probe, else a checkpointed run in
+        the slot's worker process."""
         started = time.monotonic()
         cache = self._cache()
+        restarted = False
         try:
             # probe(), not load(): answering a warm submission only
             # needs "a verified study.csv is on disk" (the CSV route
@@ -536,71 +559,91 @@ class JobManager:
                     "figures": manifest.get("figures"),
                     "cache_counters": cache.counters(),
                 }
-            return self._simulate(sim, cache, started)
-        except Exception as exc:
-            return {
-                "state": "failed",
-                "error": f"{type(exc).__name__}: {exc}",
-                "elapsed_s": time.monotonic() - started,
-                "cache_counters": cache.counters(),
-            }
+            return self._simulate(sim, cache, started, worker)
+        except WorkerDied as exc:
+            # kill -9, the OOM killer, os._exit: an honest outcome for
+            # this job only.  What the worker journaled stays on disk
+            # and the slot gets a fresh process for the next job.
+            worker.restart()
+            restarted = True
+            error = (
+                f"{exc}; its checkpoint journal is kept "
+                f"(checkpoints/{sim.config_hash}) and the same study "
+                "resumes from it"
+            )
+        except SimulationFailed as exc:
+            error = str(exc)  # the worker's "Type: message"
+        except (ReproError, SpillError, OSError) as exc:
+            # What the server's own half can raise: cache and spill IO,
+            # a damaged spill.
+            error = f"{type(exc).__name__}: {exc}"
+        return {
+            "state": "failed",
+            "error": error,
+            "elapsed_s": time.monotonic() - started,
+            "cache_counters": cache.counters(),
+            "worker_restarted": restarted,
+        }
+
+    def _ledger_state(self) -> dict | None:
+        """What a worker seeds its ledger replica with."""
+        if self.budget is None:
+            return None
+        snapshot = self.budget.snapshot()
+        return {
+            "max_bytes": snapshot["max_bytes"],
+            "by_category": snapshot["by_category"],
+        }
+
+    def _charge_ledger(self, delta: dict) -> None:
+        """Fold what a worker's run charged, was refused and noted
+        into the service-wide ledger."""
+        assert self.budget is not None
+        for category, nbytes in delta["charged"].items():
+            self.budget.charge(category, nbytes, enforce=False)
+        for event in delta["events"]:
+            self.budget.note(event)
+        with self._ledger_lock:
+            self.budget.refused += delta["refused"]
 
     def _simulate(
-        self, sim: Simulation, cache: StudyCache, started: float
+        self,
+        sim: Simulation,
+        cache: StudyCache,
+        started: float,
+        worker: SimWorker,
     ) -> dict:
         ckpt = self.ckpt_root / sim.config_hash
-        resume = (ckpt / "manifest.json").exists()
-        last = [0.0]
 
-        def progress(telemetry: RunTelemetry) -> None:
-            now = time.monotonic()
-            if (
-                not telemetry.finished
-                and now - last[0] < TELEMETRY_INTERVAL_S
-            ):
-                return
-            last[0] = now
-            snapshot = telemetry.snapshot()
-            assert self._loop is not None
-            self._loop.call_soon_threadsafe(
-                self._on_telemetry, sim, snapshot
-            )
+        def relay(kind: str, body: dict) -> None:
+            if kind == "telemetry":
+                assert self._loop is not None
+                self._loop.call_soon_threadsafe(
+                    self._on_telemetry, sim, body
+                )
+            else:
+                self._charge_ledger(body)
 
-        result = run_study(
-            sim.config,
-            RuntimeConfig(
-                workers=self.shard_workers,
-                checkpoint_dir=ckpt,
-                resume=resume,
-                progress=progress,
-                should_stop=self._stop_event.is_set,
-                # The service-wide ledger: this run's checkpoint and
-                # spill writes charge the same budget as cache stores,
-                # and a hard watermark drains the run honestly.
-                budget=self.budget,
-                pressure=(
-                    PressureConfig(max_disk_bytes=self.budget.max_bytes)
-                    if self.budget is not None
-                    else None
-                ),
-            ),
+        run = worker.run(
+            (sim.config, str(ckpt), self._ledger_state()), relay
         )
+        manifest = run["manifest"]
         outcome = {
             "simulated": True,
             "elapsed_s": time.monotonic() - started,
-            "records": len(result.dataset),
-            "plays_per_second": result.telemetry.plays_per_second(),
+            "records": run["records"],
+            "plays_per_second": run["plays_per_second"],
             # Run manifests carry the plan fingerprint; stamp the
             # content address too so the /manifest document always has
             # one regardless of cache-vs-simulated provenance.
-            "manifest": {**result.manifest, "config_hash": sim.config_hash},
+            "manifest": {**manifest, "config_hash": sim.config_hash},
             "source": "simulated",
         }
-        if result.interrupted:
+        if manifest["interrupted"]:
             # Honest manifest + journaled shards are already on disk;
             # a restarted server resumes from them.
             outcome["state"] = "interrupted"
-            if result.manifest.get("interrupted_by") == "disk-budget":
+            if manifest.get("interrupted_by") == "disk-budget":
                 outcome["error"] = (
                     "drained by the disk budget's hard watermark; free "
                     "space (repro cache gc) or raise the budget, then "
@@ -611,13 +654,13 @@ class JobManager:
                     "drained by server shutdown; resubmit to resume from "
                     "the checkpoint"
                 )
-        elif result.failed_shards:
+        elif manifest["failed_shards"]:
             outcome["state"] = "failed"
-            outcome["quarantined"] = list(result.failed_shards)
-            outcome["quarantined_fraction"] = result.quarantined_fraction
+            outcome["quarantined"] = manifest["failed_shards"]
+            outcome["quarantined_fraction"] = run["quarantined_fraction"]
             outcome["error"] = (
-                f"shards {list(result.failed_shards)} quarantined "
-                f"({result.quarantined_fraction:.1%} of plays); partial "
+                f"shards {manifest['failed_shards']} quarantined "
+                f"({run['quarantined_fraction']:.1%} of plays); partial "
                 "studies are never cached"
             )
         else:
@@ -625,19 +668,15 @@ class JobManager:
                 "config": sim.config.to_canonical_dict(),
                 "engine": {
                     "workers": self.shard_workers,
-                    "plays_per_second": round(
-                        result.telemetry.plays_per_second(), 2
-                    ),
-                    "shard_count": result.plan.shard_count,
+                    "plays_per_second": round(run["plays_per_second"], 2),
+                    "shard_count": run["shard_count"],
                 },
             }
-            if result.aggregates is not None:
+            if "figures" in run:
                 # Streaming runs ship their figure headlines with the
                 # cache entry so warm restarts serve them without
                 # re-running the study.
-                figures = render_figure_summary(result, sim.config)
-                extra["figures"] = figures
-                outcome["figures"] = figures
+                extra["figures"] = outcome["figures"] = run["figures"]
             if self.budget is not None and self.budget.level() != "ok":
                 # Soft/hard pressure: don't grow the cache.  The
                 # checkpoint journal stays on disk, so the finished
@@ -649,22 +688,25 @@ class JobManager:
                     f"(budget level {self.budget.level()})"
                 )
             else:
+                if "spill" in run:
+                    # Streaming (sketch) runs never materialize the
+                    # CSV: chunks flow from the journal's spill files
+                    # into the cache entry while the digest folds
+                    # incrementally.
+                    chunks = SpilledDataset(
+                        [
+                            ShardSpill(directory, index)
+                            for directory, index in run["spill"]["shards"]
+                        ],
+                        run["spill"]["user_order"],
+                    ).iter_csv_chunks()
+                else:
+                    chunks = [run["csv"]]
                 try:
-                    if isinstance(result.dataset, SpilledDataset):
-                        # Streaming (sketch) runs never materialize the
-                        # CSV: chunks flow from the spill files into the
-                        # cache entry while the digest folds
-                        # incrementally.
-                        cache.store_stream(
-                            sim.config_hash,
-                            result.dataset.iter_csv_chunks(),
-                            records=len(result.dataset),
-                            extra=extra,
-                        )
-                    else:
-                        cache.store(
-                            sim.config_hash, result.dataset, extra=extra
-                        )
+                    cache.store_stream(
+                        sim.config_hash, chunks,
+                        records=run["records"], extra=extra,
+                    )
                 except DiskBudgetExceeded:
                     # The store itself crossed the hard watermark (the
                     # seam refused before committing): same degradation
@@ -791,6 +833,12 @@ class JobManager:
             try:
                 built = future.result()
             except Exception as exc:
+                # Broad on purpose, and nothing is swallowed: the
+                # report is built by the whole claim-comparison stack
+                # over client-chosen cells, and whatever it raised
+                # must settle the job as `failed` with the reason in
+                # its `error` — a narrower net would strand the job in
+                # `assembling` with its SSE streams open.
                 job.state = "failed"
                 job.error = f"report assembly failed: {exc}"
             else:
@@ -890,6 +938,7 @@ class JobManager:
             "queue_capacity": self.scheduler.capacity,
             "workers": self.workers,
             "shard_workers": self.shard_workers,
+            "worker_restarts": self.worker_restarts,
             "cache": dict(self.cache_counters),
             "draining": self.draining,
             **(
