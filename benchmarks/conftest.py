@@ -1,14 +1,18 @@
-"""Shared study context for the per-figure benchmarks.
+"""Shared study context for the figure benchmarks.
 
 The study is simulated once per pytest session (scale configurable via
 ``REPRO_BENCH_SCALE``; the default 0.15 simulates ~430 playbacks in a
-couple of minutes).  Each benchmark then times its figure's analysis
-over that dataset and asserts the paper's qualitative shape.
+couple of minutes).  ``test_bench_figures.py`` then times each
+figure's analysis over that dataset and asserts the paper's
+qualitative shape.
 
 ``--quick`` shrinks the study to ``QUICK_SCALE`` and caps
-pytest-benchmark at one round — the CI smoke mode: it checks that the
-benchmarks run and that their qualitative assertions hold, without
-producing publishable timings.
+pytest-benchmark at one round: it checks that the benchmarks run,
+without producing publishable timings.  It does not check the shapes —
+at that scale some fail for lack of data (fig08 sees 2 of the 8 server
+countries, fig14 2 of the 5 server regions; fig10 and fig27 miss their
+bands) — so a shape check runs at the default scale with
+``--benchmark-disable`` instead.
 
 At partial scale the assertions are deliberately loose: run
 ``python -m repro.experiments.runner --scale 1.0`` for the full

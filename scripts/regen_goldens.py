@@ -25,8 +25,6 @@ from repro.experiments.goldens import (  # noqa: E402
     GOLDEN_SCALE,
     GOLDEN_SEED,
     golden_context,
-    sketch_golden_context,
-    write_aggregate_goldens,
     write_goldens,
 )
 
@@ -52,15 +50,6 @@ def main(argv: list[str] | None = None) -> int:
     for path in written:
         print(f"  wrote {path}")
     print(f"{len(written) - 1} figure goldens regenerated.")
-
-    print("re-running the pinned study in streaming (sketch) mode...")
-    started = time.time()
-    sketch_ctx = sketch_golden_context()
-    print(f"  merged aggregates in {time.time() - started:.1f}s")
-    aggregate_written = write_aggregate_goldens(sketch_ctx, args.out)
-    for path in aggregate_written:
-        print(f"  wrote {path}")
-    print(f"{len(aggregate_written)} aggregates goldens regenerated.")
     return 0
 
 

@@ -2,7 +2,8 @@
 # Tier-1 smoke: the full unit suite (golden-figure regression
 # included), a quick throughput benchmark (a broadband UDP play, a
 # two-timeline T1/LAN play and a dash-abr-bbr play, plays/s and
-# scheduled events per play), the
+# scheduled events per play), the figure benchmarks' paper-shape
+# checks on the default-scale bench study, the
 # perf ledger's self-test (the harness that judges each PR is itself
 # checked), a tiny parallel
 # study through the repro.runtime engine (2 workers, checkpointed), a
@@ -37,6 +38,9 @@ python -m pytest -x -q tests/test_goldens.py
 
 echo "== quick throughput benchmark (DSL/Cable + T1/LAN + dash-abr-bbr) =="
 python -m pytest -x -q --quick benchmarks/test_bench_throughput.py
+
+echo "== figure benchmarks (paper shapes at the default bench scale) =="
+python -m pytest -q benchmarks/test_bench_figures.py --benchmark-disable
 
 echo "== perf ledger self-test =="
 python -m pytest -q perfledger/test_ledger_selftest.py

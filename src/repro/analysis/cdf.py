@@ -1,7 +1,7 @@
 """Cumulative density functions, the paper's workhorse plot.
 
 The sample is held as a sorted ``numpy`` array and every lookup is a
-``searchsorted`` — figure modules evaluate thousands of grid points
+``searchsorted`` — the figures evaluate thousands of grid points
 against thousands of samples, and the vectorized form beats per-point
 ``bisect`` while staying bit-identical: ``searchsorted`` on doubles has
 exactly ``bisect_right``/``bisect_left``'s semantics, and the

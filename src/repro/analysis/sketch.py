@@ -217,11 +217,11 @@ class QuantileSketch:
     # -- queries ------------------------------------------------------------
 
     def to_cdf(self, divide_by: float = 1.0) -> Cdf | WeightedCdf:
-        """The sketch as a CDF object the figure modules understand.
+        """The sketch as a CDF object the figures understand.
 
         ``divide_by`` applies a unit change (e.g. bps -> kbps) to every
         value.  In exact mode the division happens element-wise before
-        the sort, exactly matching the figure modules' historical
+        the sort, exactly matching the dataset source's
         ``[v / 1000.0 for v in values]`` list comprehensions — the
         resulting `Cdf` is bit-identical to the dataset-backed one.
         """

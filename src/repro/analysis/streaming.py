@@ -21,7 +21,7 @@ sketches' exact regime:
 
 * **Serial ranks.**  Shards are assigned longest-processing-time
   first, so merged insertion order is *not* the serial record order
-  the figure modules' ``dict`` iteration depends on.  Every record is
+  the figures' ``dict`` iteration depends on.  Every record is
   therefore stamped with its rank in the serial stream — the user's
   base rank from :func:`user_base_ranks` plus the play ordinal — and
   each group remembers the minimum rank that created it
@@ -54,7 +54,7 @@ from repro.errors import AnalysisError
 from repro.units import kbps
 
 #: Distributional metrics tracked per group: (name, record attribute,
-#: eligibility).  Eligibility mirrors the figure modules' filters.
+#: eligibility).  Eligibility mirrors the dataset source's filters.
 METRICS = (
     ("frame_rate_fps", "measured_frame_rate", "played"),
     ("bandwidth_bps", "measured_bandwidth_bps", "played"),

@@ -319,7 +319,7 @@ class StudyDataset:
     def column(self, attribute: str) -> np.ndarray:
         """One numeric field as a cached ``numpy`` array.
 
-        The figure modules aggregate the same handful of columns over
+        The figures aggregate the same handful of columns over
         and over (one CDF per grouping); materializing each column once
         per dataset makes those aggregations array operations.  The
         cache is invalidated by :meth:`append`/:meth:`extend`; filtered

@@ -1,9 +1,12 @@
-"""Experiment harness (S13): one module per paper figure.
+"""Experiment harness (S13): the paper's figures as one table.
 
-Each figure module registers a :class:`~repro.experiments.base.Figure`
-whose ``run(ctx)`` regenerates the figure's series/rows from a study
-dataset.  ``repro.experiments.runner`` executes everything and writes
-the results; the per-figure benchmarks assert the paper's shapes.
+``repro.experiments.figures.FIGURES`` holds one
+:class:`~repro.experiments.base.Figure` per paper figure, whose
+``run(ctx)`` regenerates its series/rows and headline numbers from a
+study dataset or its streamed aggregates.  The claims C1-C8
+(``claims``) are read off those headlines; ``runner`` executes every
+figure and writes the results; ``benchmarks/test_bench_figures.py``
+asserts the paper's shapes.
 """
 
 from repro.experiments.base import (

@@ -1,27 +1,15 @@
-"""Shared machinery for the per-figure experiments."""
+"""What a figure is, and the context it is rendered from."""
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
-from repro.analysis.cdf import Cdf
-from repro.analysis.report import format_cdf_table, format_counts
 from repro.analysis.streaming import StudyAggregates
 from repro.core.records import StudyDataset
 from repro.core.study import Study, StudyConfig
 from repro.experiments.source import AggregatesSource, DatasetSource
 from repro.world.population import StudyPopulation
-
-#: Sampling grids used to print CDF figures as rows.
-FPS_GRID = (1.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 24.0, 30.0)
-JITTER_MS_GRID = (25.0, 50.0, 100.0, 300.0, 550.0, 1050.0, 2050.0, 3050.0)
-BANDWIDTH_KBPS_GRID = (10.0, 25.0, 50.0, 100.0, 150.0, 250.0, 350.0, 450.0, 600.0)
-RATING_GRID = tuple(float(x) for x in range(11))
-STALL_SECONDS_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
-SWITCH_COUNT_GRID = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0)
-ABR_LEVEL_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
 
 @dataclass
@@ -57,7 +45,7 @@ class ExperimentContext:
 
     @property
     def source(self) -> DatasetSource | AggregatesSource:
-        """The backend-agnostic accessor the figure modules query."""
+        """The backend-agnostic accessor the figures query."""
         if self._source is None:
             if self.dataset is not None:
                 self._source = DatasetSource(self.dataset, self.population)
@@ -91,47 +79,11 @@ class Figure:
     run: Callable[[ExperimentContext], FigureResult]
 
 
-#: Module names under repro.experiments providing a FIGURE attribute.
-_FIGURE_MODULES = [
-    "fig01_buffering",
-    "fig03_04_geography",
-    "fig05_clips_per_user",
-    "fig06_rated_per_user",
-    "fig07_plays_by_country",
-    "fig08_served_by_country",
-    "fig09_plays_by_state",
-    "fig10_availability",
-    "fig11_frame_rate",
-    "fig12_fps_by_connection",
-    "fig13_bw_by_connection",
-    "fig14_fps_by_server_region",
-    "fig15_fps_by_user_region",
-    "fig16_protocol_share",
-    "fig17_fps_by_protocol",
-    "fig18_bw_by_protocol",
-    "fig19_fps_by_pc",
-    "fig20_jitter",
-    "fig21_jitter_by_connection",
-    "fig22_jitter_by_server_region",
-    "fig23_jitter_by_user_region",
-    "fig24_jitter_by_protocol",
-    "fig25_jitter_by_bandwidth",
-    "fig26_rating",
-    "fig27_rating_by_connection",
-    "fig28_rating_vs_bandwidth",
-    "fig29_abr_stalls",
-    "fig30_abr_switches",
-    "fig31_abr_level",
-]
-
-
 def all_figures() -> list[Figure]:
     """All registered figures, in paper order."""
-    figures = []
-    for name in _FIGURE_MODULES:
-        module = importlib.import_module(f"repro.experiments.{name}")
-        figures.append(module.FIGURE)
-    return figures
+    from repro.experiments.figures import FIGURES
+
+    return list(FIGURES)
 
 
 def make_context(
@@ -155,66 +107,4 @@ def make_context(
         population=study.population,
         seed=seed,
         scale=scale,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Helpers shared across figure modules
-# ---------------------------------------------------------------------------
-
-
-def cdf_series(cdf: Cdf, grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Sample a CDF on a grid."""
-    return cdf.series(grid)
-
-
-def empty_figure(figure_id: str, title: str, reason: str) -> FigureResult:
-    """An honest ``n=0`` figure for a sample with no eligible records.
-
-    Tiny ``--scale`` runs and shard-quarantined studies can leave a
-    figure's sample (or a required group) empty; figures must degrade
-    to an explicit empty result instead of crashing the whole
-    ``repro figures`` run on `Cdf`'s empty-sample error.
-    """
-    return FigureResult(
-        figure_id=figure_id,
-        title=title,
-        series={},
-        headline={"n": 0.0},
-        text=f"{title}\n  (no data: {reason}; n=0)",
-    )
-
-
-def cdf_figure(
-    figure_id: str,
-    title: str,
-    cdfs: Mapping[str, Cdf],
-    grid: Sequence[float],
-    x_label: str,
-    headline: dict[str, float],
-) -> FigureResult:
-    """Assemble a CDF-style figure result."""
-    return FigureResult(
-        figure_id=figure_id,
-        title=title,
-        series={name: cdf.series(grid) for name, cdf in cdfs.items()},
-        headline=headline,
-        text=f"{title}\n" + format_cdf_table(dict(cdfs), grid, x_label),
-    )
-
-
-def counts_figure(
-    figure_id: str,
-    title: str,
-    counts: Mapping[str, int],
-    headline: dict[str, float],
-) -> FigureResult:
-    """Assemble a bar-chart-style figure result."""
-    return FigureResult(
-        figure_id=figure_id,
-        title=title,
-        series={"counts": [(float(i), float(v))
-                           for i, v in enumerate(counts.values())]},
-        headline=headline,
-        text=format_counts(counts, title),
     )

@@ -6,6 +6,9 @@ each claim an executable predicate over a study dataset so scenario
 sweeps (`repro.sweep`) can report *which knob moves which claim* —
 e.g. shrinking the playout buffer flips C5 (jitter), removing
 SureStream flips C1 (frame rate), upgrading every modem voids C2.
+Each claim is read off the headlines of the figures it summarizes
+(fig10-fig26), rendered from the dataset, so a claim and its figure
+cannot disagree.
 
 Thresholds are deliberately shape-level, mirroring how EXPERIMENTS.md
 judges "reproduced": who wins, by roughly what factor, where the
@@ -19,20 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.analysis.breakdowns import (
-    by_connection,
-    by_pc_class,
-    by_protocol,
-    by_server_region,
-    by_user_region,
-)
-from repro.analysis.cdf import Cdf
 from repro.core.records import StudyDataset
-from repro.experiments.fig19_fps_by_pc import OLD_CLASSES
+from repro.experiments.base import ExperimentContext, FigureResult
+from repro.experiments.figures import FIGURES, OLD_CLASSES
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "n/a"
+
+#: The figures the claims are read off, rendered by id.
+Figures = dict[str, FigureResult]
 
 
 @dataclass(frozen=True)
@@ -54,49 +53,32 @@ class ClaimVerdict:
 
 @dataclass(frozen=True)
 class Claim:
-    """A registered headline claim."""
+    """A registered headline claim, decided from rendered figures."""
 
     claim_id: str
     title: str
-    check: Callable[[StudyDataset], ClaimVerdict]
+    check: Callable[[Figures], ClaimVerdict]
 
 
 def _verdict(claim_id, title, passed, metrics) -> ClaimVerdict:
-    return ClaimVerdict(
-        claim_id=claim_id,
-        title=title,
-        verdict=PASS if passed else FAIL,
-        metrics={key: float(value) for key, value in metrics.items()},
-    )
+    metrics = {key: float(value) for key, value in metrics.items()}
+    return ClaimVerdict(claim_id, title, PASS if passed else FAIL, metrics)
 
 
 def _not_applicable(claim_id, title, reason) -> ClaimVerdict:
-    return ClaimVerdict(
-        claim_id=claim_id,
-        title=title,
-        verdict=NOT_APPLICABLE,
-        metrics={},
-        note=reason,
-    )
+    return ClaimVerdict(claim_id, title, NOT_APPLICABLE, note=reason)
 
 
-def _fps_cdf(dataset: StudyDataset) -> Cdf | None:
-    played = dataset.played()
-    if len(played) == 0:
-        return None
-    return Cdf(played.values("measured_frame_rate"))
-
-
-def _check_c1(dataset: StudyDataset) -> ClaimVerdict:
+def _check_c1(figures: Figures) -> ClaimVerdict:
     title = "frame rate: mean ~10 fps, ~25% < 3, ~25% >= 15, <1% >= 24"
-    fps = _fps_cdf(dataset)
-    if fps is None:
+    fps = figures["fig11"].headline
+    if "mean_fps" not in fps:
         return _not_applicable("C1", title, "no played records")
     metrics = {
-        "mean_fps": fps.mean,
-        "below_3fps": fps.fraction_below(3.0),
-        "at_least_15fps": fps.fraction_at_least(15.0),
-        "at_least_24fps": fps.fraction_at_least(24.0),
+        "mean_fps": fps["mean_fps"],
+        "below_3fps": fps["fraction_below_3fps"],
+        "at_least_15fps": fps["fraction_at_least_15fps"],
+        "at_least_24fps": fps["fraction_at_least_24fps"],
     }
     passed = (
         6.0 <= metrics["mean_fps"] <= 14.0
@@ -107,50 +89,36 @@ def _check_c1(dataset: StudyDataset) -> ClaimVerdict:
     return _verdict("C1", title, passed, metrics)
 
 
-def _check_c2(dataset: StudyDataset) -> ClaimVerdict:
+def _check_c2(figures: Figures) -> ClaimVerdict:
     title = "access classes: modem far worst, DSL/Cable ~ T1/LAN"
-    groups = by_connection(dataset.played())
-    needed = ("56k Modem", "DSL/Cable", "T1/LAN")
-    if any(name not in groups or len(groups[name]) == 0 for name in needed):
+    below = figures["fig12"].headline
+    if any(f"{key}_below_3fps" not in below for key in ("56k", "dsl", "t1")):
         return _not_applicable("C2", title, "an access class is missing")
-    below = {
-        name: Cdf(
-            groups[name].values("measured_frame_rate")
-        ).fraction_below(3.0)
-        for name in needed
-    }
+    modem = below["56k_below_3fps"]
+    dsl = below["dsl_below_3fps"]
+    t1 = below["t1_below_3fps"]
     metrics = {
-        "modem_below_3fps": below["56k Modem"],
-        "dsl_below_3fps": below["DSL/Cable"],
-        "t1_below_3fps": below["T1/LAN"],
+        "modem_below_3fps": modem,
+        "dsl_below_3fps": dsl,
+        "t1_below_3fps": t1,
     }
     passed = (
-        below["56k Modem"] >= below["DSL/Cable"] + 0.10
-        and below["56k Modem"] >= below["T1/LAN"] + 0.10
-        and abs(below["DSL/Cable"] - below["T1/LAN"]) <= 0.15
+        modem >= dsl + 0.10 and modem >= t1 + 0.10 and abs(dsl - t1) <= 0.15
     )
     return _verdict("C2", title, passed, metrics)
 
 
-def _check_c3(dataset: StudyDataset) -> ClaimVerdict:
+def _check_c3(figures: Figures) -> ClaimVerdict:
     title = "geography: server region matters little, user region a lot"
-    played = dataset.played()
-    servers = {
-        name: Cdf(group.values("measured_frame_rate"))
-        for name, group in by_server_region(played).items()
-        if len(group)
-    }
-    users = {
-        name: Cdf(group.values("measured_frame_rate"))
-        for name, group in by_user_region(played).items()
-        if len(group)
-    }
-    if len(servers) < 2 or len(users) < 2:
+    servers, users = figures["fig14"], figures["fig15"]
+    if len(servers.series) < 2 or len(users.series) < 2:
         return _not_applicable("C3", title, "fewer than two regions")
-    server_means = [cdf.mean for cdf in servers.values()]
-    user_below = [cdf.fraction_below(3.0) for cdf in users.values()]
+    user_below = [
+        value for key, value in users.headline.items()
+        if key.endswith("_below_3fps")
+    ]
     metrics = {
-        "server_region_mean_spread_fps": max(server_means) - min(server_means),
+        "server_region_mean_spread_fps": servers.headline["mean_spread"],
         "user_region_below_3fps_spread": max(user_below) - min(user_below),
     }
     passed = (
@@ -160,31 +128,30 @@ def _check_c3(dataset: StudyDataset) -> ClaimVerdict:
     return _verdict("C3", title, passed, metrics)
 
 
-def _check_c4(dataset: StudyDataset) -> ClaimVerdict:
+def _check_c4(figures: Figures) -> ClaimVerdict:
     title = "protocols: ~56% UDP / ~44% TCP, near-identical performance"
-    groups = by_protocol(dataset.played())
-    if "UDP" not in groups or "TCP" not in groups:
+    fps = figures["fig17"].headline
+    if "tcp_below_3fps" not in fps:
         return _not_applicable("C4", title, "a protocol is missing")
-    udp, tcp = groups["UDP"], groups["TCP"]
-    share_udp = len(udp) / (len(udp) + len(tcp))
-    gap = abs(
-        Cdf(udp.values("measured_frame_rate")).fraction_below(3.0)
-        - Cdf(tcp.values("measured_frame_rate")).fraction_below(3.0)
+    metrics = {
+        "udp_share": figures["fig16"].headline["udp_share"],
+        "below_3fps_gap": abs(fps["udp_below_3fps"] - fps["tcp_below_3fps"]),
+    }
+    passed = (
+        0.40 <= metrics["udp_share"] <= 0.70
+        and metrics["below_3fps_gap"] <= 0.12
     )
-    metrics = {"udp_share": share_udp, "below_3fps_gap": gap}
-    passed = 0.40 <= share_udp <= 0.70 and gap <= 0.12
     return _verdict("C4", title, passed, metrics)
 
 
-def _check_c5(dataset: StudyDataset) -> ClaimVerdict:
+def _check_c5(figures: Figures) -> ClaimVerdict:
     title = "jitter: ~half the clips <= 50 ms, ~15% >= 300 ms"
-    sample = dataset.with_jitter()
-    if len(sample) == 0:
+    jitter = figures["fig20"].headline
+    if "fraction_imperceptible" not in jitter:
         return _not_applicable("C5", title, "no jitter samples")
-    jitter = Cdf([record.jitter_ms for record in sample])
     metrics = {
-        "imperceptible_50ms": jitter.at(50.0),
-        "unacceptable_300ms": jitter.fraction_at_least(300.0),
+        "imperceptible_50ms": jitter["fraction_imperceptible"],
+        "unacceptable_300ms": jitter["fraction_unacceptable"],
     }
     passed = (
         0.35 <= metrics["imperceptible_50ms"] <= 0.85
@@ -193,51 +160,42 @@ def _check_c5(dataset: StudyDataset) -> ClaimVerdict:
     return _verdict("C5", title, passed, metrics)
 
 
-def _check_c6(dataset: StudyDataset) -> ClaimVerdict:
+def _check_c6(figures: Figures) -> ClaimVerdict:
     title = "ratings: roughly uniform, mean ~5"
-    rated = dataset.rated()
-    if len(rated) < 10:
+    ratings = figures["fig26"].headline
+    if ratings.get("rated_count", 0.0) < 10:
         return _not_applicable("C6", title, "too few rated clips")
-    cdf = Cdf(rated.values("rating"))
-    deviation = max(
-        abs(cdf.at(float(x)) - (x + 1) / 11.0) for x in range(11)
+    metrics = {
+        "mean_rating": ratings["mean_rating"],
+        "uniformity_deviation": ratings["uniformity_deviation"],
+    }
+    passed = (
+        3.5 <= metrics["mean_rating"] <= 6.5
+        and metrics["uniformity_deviation"] <= 0.35
     )
-    metrics = {"mean_rating": cdf.mean, "uniformity_deviation": deviation}
-    passed = 3.5 <= cdf.mean <= 6.5 and deviation <= 0.35
     return _verdict("C6", title, passed, metrics)
 
 
-def _check_c7(dataset: StudyDataset) -> ClaimVerdict:
+def _check_c7(figures: Figures) -> ClaimVerdict:
     title = "PCs: only old, underpowered machines bottleneck playback"
-    groups = by_pc_class(dataset.played())
-    old = [
-        Cdf(group.values("measured_frame_rate"))
-        for name, group in groups.items()
-        if name in OLD_CLASSES and len(group)
-    ]
-    new = [
-        Cdf(group.values("measured_frame_rate"))
-        for name, group in groups.items()
-        if name not in OLD_CLASSES and len(group)
-    ]
-    if not old or not new:
+    by_pc = figures["fig19"]
+    old = [name for name in by_pc.series if name in OLD_CLASSES]
+    if not old or len(old) == len(by_pc.series):
         return _not_applicable("C7", title, "a PC class side is missing")
-    old_above = sum(c.fraction_at_least(3.0) for c in old) / len(old)
-    new_above = sum(c.fraction_at_least(3.0) for c in new) / len(new)
-    metrics = {"old_pc_above_3fps": old_above, "new_pc_above_3fps": new_above}
-    passed = new_above >= old_above + 0.20
+    metrics = {
+        "old_pc_above_3fps": by_pc.headline["old_pc_above_3fps"],
+        "new_pc_above_3fps": by_pc.headline["new_pc_above_3fps"],
+    }
+    passed = metrics["new_pc_above_3fps"] >= metrics["old_pc_above_3fps"] + 0.20
     return _verdict("C7", title, passed, metrics)
 
 
-def _check_c8(dataset: StudyDataset) -> ClaimVerdict:
+def _check_c8(figures: Figures) -> ClaimVerdict:
     title = "availability: ~10% of requests find the clip unavailable"
-    attempts = dataset.filter(lambda r: r.outcome != "control_failed")
-    if len(attempts) == 0:
+    availability = figures["fig10"].headline
+    if "overall_unavailable" not in availability:
         return _not_applicable("C8", title, "no request attempts")
-    unavailable = sum(
-        1 for record in attempts if record.outcome == "unavailable"
-    )
-    fraction = unavailable / len(attempts)
+    fraction = availability["overall_unavailable"]
     metrics = {"unavailable_fraction": fraction}
     passed = 0.04 <= fraction <= 0.17
     return _verdict("C8", title, passed, metrics)
@@ -255,6 +213,12 @@ ALL_CLAIMS: tuple[Claim, ...] = (
     Claim("C8", "availability", _check_c8),
 )
 
+
+#: The figures C1-C8 are decided from.
+_READS = {
+    "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "fig17", "fig19",
+    "fig20", "fig26",
+}
 
 #: Above this fraction of quarantined plays a dataset is too partial
 #: to judge the paper's claims against: the lost users could move any
@@ -286,4 +250,10 @@ def evaluate_claims(
             _not_applicable(claim.claim_id, claim.title, reason)
             for claim in ALL_CLAIMS
         )
-    return tuple(claim.check(dataset) for claim in ALL_CLAIMS)
+    ctx = ExperimentContext(dataset=dataset)
+    figures = {
+        figure.figure_id: figure.run(ctx)
+        for figure in FIGURES
+        if figure.figure_id in _READS
+    }
+    return tuple(claim.check(figures) for claim in ALL_CLAIMS)

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.experiments.base import ExperimentContext, all_figures, make_context
 
 #: The pinned study every golden is computed from.  Small enough to run
-#: in tier-1 CI, large enough that all figure modules have data.
+#: in tier-1 CI, large enough that all figures have data.
 GOLDEN_SEED = 2001
 GOLDEN_SCALE = 0.05
 
@@ -69,8 +69,8 @@ def sketch_golden_context() -> ExperimentContext:
     merges per-shard :class:`~repro.analysis.streaming.StudyAggregates`
     — the figure backend million-user studies use.  At golden scale
     every sketch stays in its exact regime, so figures rendered from
-    this context must be byte-identical to :func:`golden_context` ones
-    (pinned by ``tests/test_figure_parity.py``).
+    this context must match the same ``figNN.json`` goldens byte for
+    byte (pinned by ``tests/test_figure_parity.py``).
     """
     from repro.core.study import StudyConfig
     from repro.runtime import RuntimeConfig, run_study
@@ -89,29 +89,8 @@ def sketch_golden_context() -> ExperimentContext:
     )
 
 
-def write_aggregate_goldens(
-    ctx: ExperimentContext, directory: str | Path
-) -> list[Path]:
-    """Compute every figure from a sketch-backed ``ctx`` and write one
-    ``figNN.aggregates.json`` golden per module.
-
-    These pin the aggregates-backed rendering path independently of the
-    ``figNN.json`` exact-path goldens (at golden scale the two must
-    carry identical numbers).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for figure in all_figures():
-        payload = figure_payload(figure.run(ctx))
-        path = directory / f"{figure.figure_id}.aggregates.json"
-        path.write_text(canonical_json(payload))
-        written.append(path)
-    return written
-
-
 def write_goldens(ctx: ExperimentContext, directory: str | Path) -> list[Path]:
-    """Compute every figure from ``ctx`` and write one golden per module.
+    """Compute every figure from ``ctx`` and write one golden per figure.
 
     Returns the written paths (``meta.json`` first).
     """

@@ -1,16 +1,18 @@
 """Backend-agnostic figure data access.
 
-Every figure module pulls its inputs through a *source* — either a
+Every figure pulls its inputs through a *source* — either a
 :class:`DatasetSource` wrapping an in-memory
 :class:`~repro.core.records.StudyDataset` (exact mode) or an
 :class:`AggregatesSource` wrapping streamed
 :class:`~repro.analysis.streaming.StudyAggregates` (sketch mode, no
-record list ever materialized).  The two answer the same queries:
+record list ever materialized).  This module alone decides which
+records count toward a metric and what unit its values are in; the
+claims (through the figures) and the sweep's KS distances ask it too.
+The two sources answer the same queries:
 
-* :class:`DatasetSource` replicates the figure modules' historical
-  dataset expressions verbatim (same subsets, same ``values`` columns,
-  same unit conversions), so dataset-backed figures — and the golden
-  suite pinning them — are byte-for-byte unchanged.
+* :class:`DatasetSource` builds each CDF from the eligible subset's
+  ``values`` column with element-wise unit conversion, the
+  expressions the golden suite pins byte for byte.
 * :class:`AggregatesSource` answers from sketches, tallies, and
   histograms.  While every sketch is still in its exact regime the
   answers are bit-identical (same multisets through the same
@@ -39,17 +41,18 @@ from repro.errors import AnalysisError
 from repro.units import kbps
 from repro.world.population import StudyPopulation
 
-#: Figure metric -> (eligibility rule, aggregate metric name).
+#: Figure metric -> (eligibility rule, aggregate metric name, record
+#: column).
 _METRICS = {
-    "frame_rate_fps": ("played", "frame_rate_fps"),
-    "bandwidth_kbps": ("played", "bandwidth_bps"),
-    "jitter_ms": ("jitter", "jitter_ms"),
-    "rating": ("rated", "rating"),
+    "frame_rate_fps": ("played", "frame_rate_fps", "measured_frame_rate"),
+    "bandwidth_kbps": ("played", "bandwidth_bps", "measured_bandwidth_bps"),
+    "jitter_ms": ("jitter", "jitter_ms", "jitter_s"),
+    "rating": ("rated", "rating", "rating"),
     # ABR QoE metrics (DASH-style playbacks only).
-    "stall_count": ("abr", "stall_count"),
-    "stall_seconds": ("abr", "stall_seconds"),
-    "switch_count": ("abr", "switch_count"),
-    "mean_level": ("abr", "mean_level"),
+    "stall_count": ("abr", "stall_count", "stall_count"),
+    "stall_seconds": ("abr", "stall_seconds", "stall_seconds"),
+    "switch_count": ("abr", "switch_count", "switch_count"),
+    "mean_level": ("abr", "mean_level", "mean_level"),
 }
 
 #: kbps metrics divide the stored bps values by this at CDF build time.
@@ -115,28 +118,14 @@ class DatasetSource:
 
     @staticmethod
     def _cdf_of(metric: str, subset: StudyDataset) -> Cdf:
-        # Exactly the historical per-figure expressions, element-wise
-        # unit conversion included, so the resulting CDFs are
-        # bit-identical to the pre-source figure code.
-        if metric == "frame_rate_fps":
-            return Cdf(subset.values("measured_frame_rate"))
+        values = subset.values(_METRICS[metric][2])
+        # Units convert element-wise, before the sort: the goldens pin
+        # exactly these expressions.
         if metric == "bandwidth_kbps":
-            return Cdf(
-                [b / 1000.0 for b in subset.values("measured_bandwidth_bps")]
-            )
-        if metric == "jitter_ms":
-            return Cdf([j * 1000.0 for j in subset.values("jitter_s")])
-        if metric == "rating":
-            return Cdf(subset.values("rating"))
-        if metric == "stall_count":
-            return Cdf(subset.values("stall_count"))
-        if metric == "stall_seconds":
-            return Cdf(subset.values("stall_seconds"))
-        if metric == "switch_count":
-            return Cdf(subset.values("switch_count"))
-        if metric == "mean_level":
-            return Cdf(subset.values("mean_level"))
-        raise KeyError(f"unknown figure metric {metric!r}")
+            values = [b / 1000.0 for b in values]
+        elif metric == "jitter_ms":
+            values = [j * 1000.0 for j in values]
+        return Cdf(values)
 
     # -- distributions ------------------------------------------------------
 

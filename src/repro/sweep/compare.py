@@ -20,10 +20,16 @@ import numpy as np
 from repro.analysis.cdf import Cdf
 from repro.core.records import StudyDataset
 from repro.experiments.claims import ClaimVerdict, evaluate_claims
+from repro.experiments.source import DatasetSource
 from repro.sweep.runner import SweepResult
 
-#: The distributions KS distances are computed over.
-KS_METRICS = ("fps", "bandwidth_kbps", "jitter_ms")
+#: The distributions KS distances are computed over: report name ->
+#: figure metric.
+KS_METRICS = {
+    "fps": "frame_rate_fps",
+    "bandwidth_kbps": "bandwidth_kbps",
+    "jitter_ms": "jitter_ms",
+}
 
 
 def ks_distance(a: Cdf, b: Cdf) -> float:
@@ -39,17 +45,13 @@ def ks_distance(a: Cdf, b: Cdf) -> float:
 
 
 def _metric_cdfs(dataset: StudyDataset) -> dict[str, Cdf]:
-    cdfs: dict[str, Cdf] = {}
-    played = dataset.played()
-    if len(played):
-        cdfs["fps"] = Cdf(played.values("measured_frame_rate"))
-        cdfs["bandwidth_kbps"] = Cdf(
-            [b / 1000.0 for b in played.values("measured_bandwidth_bps")]
-        )
-    with_jitter = dataset.with_jitter()
-    if len(with_jitter):
-        cdfs["jitter_ms"] = Cdf([r.jitter_ms for r in with_jitter])
-    return cdfs
+    """The KS metrics' CDFs, as the figures see them; a metric with no
+    eligible records is absent."""
+    source = DatasetSource(dataset, None)
+    cdfs = {
+        name: source.metric_cdf(metric) for name, metric in KS_METRICS.items()
+    }
+    return {name: cdf for name, cdf in cdfs.items() if cdf is not None}
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
-"""Experiment-framework helpers."""
+"""The figure table's grids and result helpers."""
 
 from repro.analysis.cdf import Cdf
-from repro.experiments.base import (
+from repro.experiments.figures import (
     BANDWIDTH_KBPS_GRID,
     FPS_GRID,
     JITTER_MS_GRID,
     RATING_GRID,
     cdf_figure,
-    cdf_series,
     counts_figure,
 )
 
@@ -30,10 +29,6 @@ class TestGrids:
 
 
 class TestCdfHelpers:
-    def test_cdf_series_samples_grid(self):
-        series = cdf_series(Cdf([1, 2, 3, 4]), (2.0, 4.0))
-        assert series == [(2.0, 0.5), (4.0, 1.0)]
-
     def test_cdf_figure_assembles_result(self):
         result = cdf_figure(
             "figXX",

@@ -1,10 +1,20 @@
-"""Executable claim predicates C1-C8."""
+"""Executable claim predicates C1-C8.
+
+``TestPinnedVerdicts`` holds every verdict, metric and note over real
+studies and degenerate record sets against ``tests/data/claims_pin.json``.
+Regenerate that file (only for a change that is supposed to move the
+claims) with ``PYTHONPATH=src python -m tests.test_experiments_claims``.
+"""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.records import ClipRecord, StudyDataset
+from repro.core.study import Study
 from repro.experiments.claims import (
     ALL_CLAIMS,
     FAIL,
@@ -12,6 +22,8 @@ from repro.experiments.claims import (
     PASS,
     evaluate_claims,
 )
+from repro.sweep import SweepCell
+from tests.test_experiments import _degenerate_variants
 
 
 def record(**overrides) -> ClipRecord:
@@ -187,3 +199,94 @@ class TestQuarantineRefusal:
             quarantine_threshold=0.5,
         )
         assert {v.verdict for v in lax} != {NOT_APPLICABLE}
+
+
+PIN_PATH = Path(__file__).parent / "data" / "claims_pin.json"
+
+#: Pinned studies: three stacks at four seeds, plus the golden seed at
+#: the golden and benchmark scales.
+PINNED_STUDIES = {
+    cell.cell_id: cell
+    for cell in [
+        SweepCell(scenario, seed, 0.03)
+        for seed in (2001, 7, 31, 1234)
+        for scenario in ("baseline", "dash-abr-bbr", "all-broadband")
+    ] + [SweepCell("baseline", 2001, 0.05), SweepCell("baseline", 2001, 0.15)]
+}
+
+
+def _claim_edge_sets() -> dict[str, list[ClipRecord]]:
+    """Record sets on the edges of the n/a rules."""
+    return {
+        "c3-one-region": [
+            record(measured_frame_rate=float(fps)) for fps in range(12)
+        ],
+        "c7-old-pcs-only": [
+            record(pc_class=pc, measured_frame_rate=float(fps))
+            for pc in ("Intel Pentium MMX / 24MB", "Pentium II / 32MB")
+            for fps in range(6)
+        ],
+        "rated-9": [record(rating=rating) for rating in range(9)],
+        "rated-10": [record(rating=rating) for rating in range(10)],
+    }
+
+
+def _record_sets() -> dict[str, list[ClipRecord]]:
+    return {
+        **{f"degenerate:{name}": records
+           for name, records in sorted(_degenerate_variants().items())},
+        **{f"edge:{name}": records
+           for name, records in _claim_edge_sets().items()},
+    }
+
+
+PIN_CASES = [f"study:{cell_id}" for cell_id in PINNED_STUDIES] + list(
+    _record_sets()
+)
+
+
+def _pinned_dataset(case: str) -> StudyDataset:
+    if case.startswith("study:"):
+        cell = PINNED_STUDIES[case.removeprefix("study:")]
+        return Study(cell.study_config()).run()
+    return StudyDataset(_record_sets()[case])
+
+
+def _verdict_rows(verdicts) -> list:
+    """Verdicts as JSON-exact rows, metric order included."""
+    return [
+        [v.claim_id, v.title, v.verdict, list(map(list, v.metrics.items())),
+         v.note]
+        for v in verdicts
+    ]
+
+
+class TestPinnedVerdicts:
+    """Every verdict, title, metric (in order, bit-exact) and note."""
+
+    @pytest.fixture(scope="class")
+    def pins(self):
+        return json.loads(PIN_PATH.read_text())
+
+    def test_pins_cover_every_case(self, pins):
+        assert list(pins) == PIN_CASES
+
+    @pytest.mark.parametrize("case", [
+        # the benchmark-scale study alone costs ~45 s: opt-in tier
+        pytest.param(case, marks=pytest.mark.slow)
+        if case.endswith("x0.15") else case
+        for case in PIN_CASES
+    ])
+    def test_verdicts_match_pin(self, case, pins):
+        rows = _verdict_rows(evaluate_claims(_pinned_dataset(case)))
+        assert rows == pins[case], f"{case}: a claim verdict moved"
+
+
+if __name__ == "__main__":
+    PIN_PATH.write_text(json.dumps(
+        {
+            case: _verdict_rows(evaluate_claims(_pinned_dataset(case)))
+            for case in PIN_CASES
+        },
+        indent=1,
+    ) + "\n")

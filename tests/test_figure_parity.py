@@ -8,7 +8,7 @@ Three regimes are pinned:
    fewer than ``exact_limit`` raw values, so the aggregates-backed
    figures must be **byte-identical** to the dataset-backed ones —
    same ``FigureResult.text``, same canonical JSON payload, and equal
-   to the checked-in ``tests/goldens/figNN.aggregates.json`` files.
+   to the checked-in ``tests/goldens/figNN.json`` files.
 
 2. **Collapsed regime** (``exact_limit=8`` forces every sketch into
    its log-binned representation): figures stay structurally intact
@@ -21,10 +21,17 @@ Three regimes are pinned:
    figures without ever constructing a ``StudyDataset`` (the whole
    point of the streaming backend), pinned by poisoning
    ``StudyDataset.__init__``.
+
+Above all three sits the **rendered surface**: what ``summary.json``,
+``figNN.json``/``.txt`` and the serve tier's figures endpoint emit —
+text, headlines in insertion order, series in order — hashed per
+context, for the golden, sketch and collapsed contexts and every
+degenerate record set on both backends.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -32,11 +39,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.streaming import StudyAggregates
+from repro.core.records import StudyDataset
 from repro.experiments.base import ExperimentContext, all_figures
 from repro.experiments.goldens import (
     canonical_json,
     figure_payload,
     golden_context,
+    read_golden,
     sketch_golden_context,
 )
 
@@ -110,6 +119,116 @@ def collapsed_ctx(exact_ctx):
 
 
 # ---------------------------------------------------------------------------
+# The rendered surface, pinned per context
+# ---------------------------------------------------------------------------
+
+
+def surface_digest(ctx: ExperimentContext) -> str:
+    """sha256 over every figure exactly as the runner and the serve
+    tier emit it: id, title, text, headline items in insertion order and
+    series in order, floats by ``repr`` (which also pins their type)."""
+    rendered = []
+    for figure in FIGURES:
+        result = figure.run(ctx)
+        rendered.append((
+            result.figure_id,
+            result.title,
+            result.text,
+            list(result.headline.items()),
+            list(result.series.items()),
+        ))
+    return hashlib.sha256(repr(rendered).encode()).hexdigest()
+
+
+def degenerate_context(variant: str, backend: str) -> ExperimentContext:
+    """One of ``tests/test_experiments.py``'s degenerate record sets on
+    the ``exact`` or ``sketch`` backend."""
+    from repro.rng import RngFactory
+    from repro.world.population import build_population
+    from tests.test_experiments import _degenerate_variants
+
+    records = _degenerate_variants()[variant]
+    population = build_population(RngFactory(0), playlist_length=5)
+    if backend == "exact":
+        return ExperimentContext(
+            dataset=StudyDataset(records), population=population,
+            seed=0, scale=1.0,
+        )
+    aggregates = StudyAggregates()
+    aggregates.add_many(records)
+    aggregates.flush()
+    return ExperimentContext(
+        aggregates=aggregates, population=population, seed=0, scale=1.0,
+    )
+
+
+#: Context -> surface digest.  The study contexts are this module's
+#: fixtures; ``variant/backend`` ones come from `degenerate_context`.
+#: A refactor must not move any; a change that is supposed to move
+#: results regenerates them with `surface_digest`.
+SURFACE_PINS = {
+    "golden":
+        "8e24c354a1ca96fccee4636510740ee6c2c1ffe6df40b00c2b609c40044a4728",
+    "sketch":
+        "8e24c354a1ca96fccee4636510740ee6c2c1ffe6df40b00c2b609c40044a4728",
+    "collapsed":
+        "bbc64c47235c88a4f3142af6d660f03f704383e02da9fd63ad2553d4b8c1bdd4",
+    "abr-all-stall/exact":
+        "837ac1bb488e34c1e69b76ea6e89586e11dda35f83411884ad737c63a0da1277",
+    "abr-all-stall/sketch":
+        "837ac1bb488e34c1e69b76ea6e89586e11dda35f83411884ad737c63a0da1277",
+    "abr-one-level/exact":
+        "e12d741c81fc0297683ca0ae2eef098973fc8425bef9cf5c477cb4181d4ebccb",
+    "abr-one-level/sketch":
+        "e12d741c81fc0297683ca0ae2eef098973fc8425bef9cf5c477cb4181d4ebccb",
+    "all-unavailable/exact":
+        "19f9254c7a9b96f80bae0c2edbd6a8155a26ac8e2760db28bc47baac954a3101",
+    "all-unavailable/sketch":
+        "19f9254c7a9b96f80bae0c2edbd6a8155a26ac8e2760db28bc47baac954a3101",
+    "control-failures-only/exact":
+        "92ca1aadfea1424e7cd54695605a9e42e8814230eea4de78a6776331bef63b05",
+    "control-failures-only/sketch":
+        "92ca1aadfea1424e7cd54695605a9e42e8814230eea4de78a6776331bef63b05",
+    "empty/exact":
+        "e4a53afe1131367bdf1d02f32b5607d2243b71994fad187f7ada9610a83379ae",
+    "empty/sketch":
+        "e4a53afe1131367bdf1d02f32b5607d2243b71994fad187f7ada9610a83379ae",
+    "never-rated/exact":
+        "6cb652ef90f42631fd0785eb0f812dbb5ec6b2888dff916566ae148edec6684a",
+    "never-rated/sketch":
+        "6cb652ef90f42631fd0785eb0f812dbb5ec6b2888dff916566ae148edec6684a",
+    "no-jitter-samples/exact":
+        "398369d120a1eecb19b925ffb2ce8d2d36e127b9cd4d0abf6b5d2c6ac1cfebd4",
+    "no-jitter-samples/sketch":
+        "398369d120a1eecb19b925ffb2ce8d2d36e127b9cd4d0abf6b5d2c6ac1cfebd4",
+    "single-record/exact":
+        "8095c5e0761bd5c1aa2398b119a64ba16313f021f8ac97010bf05e1f553f6d95",
+    "single-record/sketch":
+        "8095c5e0761bd5c1aa2398b119a64ba16313f021f8ac97010bf05e1f553f6d95",
+    "single-unrated-tcp/exact":
+        "a86c014145ea4bff94c441172de02502cc70a347821388a4a8e22fc38a1ec8d2",
+    "single-unrated-tcp/sketch":
+        "a86c014145ea4bff94c441172de02502cc70a347821388a4a8e22fc38a1ec8d2",
+}
+_FIXTURES = {
+    "golden": "exact_ctx", "sketch": "sketch_ctx",
+    "collapsed": "collapsed_ctx",
+}
+
+
+@pytest.mark.parametrize("context_id", list(SURFACE_PINS))
+def test_rendered_surface_pinned(context_id, request):
+    if context_id in _FIXTURES:
+        ctx = request.getfixturevalue(_FIXTURES[context_id])
+    else:
+        ctx = degenerate_context(*context_id.split("/"))
+    assert surface_digest(ctx) == SURFACE_PINS[context_id], (
+        f"{context_id}: a figure's text, headline order/values or "
+        "series moved"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Regime 1: exact-regime byte identity
 # ---------------------------------------------------------------------------
 
@@ -132,38 +251,16 @@ def test_sketch_payload_byte_identical_to_exact(figure, exact_ctx, sketch_ctx):
     assert sketch == exact
 
 
-def test_aggregate_goldens_exist_for_every_figure():
-    missing = [
-        figure_id
-        for figure_id in FIGURE_IDS
-        if not (GOLDEN_DIR / f"{figure_id}.aggregates.json").exists()
-    ]
-    assert not missing, (
-        f"no aggregates golden for {missing}; run scripts/regen_goldens.py"
-    )
-
-
 @pytest.mark.parametrize("figure", FIGURES, ids=FIGURE_IDS)
 def test_sketch_figure_matches_aggregates_golden(figure, sketch_ctx):
+    """The sketch backend renders the exact backend's ``figNN.json``
+    golden: one golden family for both."""
     recomputed = canonical_json(figure_payload(figure.run(sketch_ctx)))
-    stored = (
-        GOLDEN_DIR / f"{figure.figure_id}.aggregates.json"
-    ).read_text()
-    assert recomputed == stored, (
-        f"{figure.figure_id} drifted from its aggregates golden.\n"
+    assert recomputed == read_golden(GOLDEN_DIR, figure.figure_id), (
+        f"{figure.figure_id} (sketch backend) drifted from its golden.\n"
         "If this change is *supposed* to alter results, regenerate with "
         "scripts/regen_goldens.py and justify the shift in the commit."
     )
-
-
-@pytest.mark.parametrize("figure_id", FIGURE_IDS)
-def test_aggregates_golden_equals_exact_golden(figure_id):
-    """At golden scale the two golden families must carry identical
-    numbers — a file-level restatement of the exact-regime contract
-    that holds even when neither study is re-run."""
-    exact = (GOLDEN_DIR / f"{figure_id}.json").read_text()
-    aggregates = (GOLDEN_DIR / f"{figure_id}.aggregates.json").read_text()
-    assert aggregates == exact
 
 
 @pytest.mark.parametrize("figure", FIGURES, ids=FIGURE_IDS)

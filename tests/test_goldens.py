@@ -62,16 +62,13 @@ def test_meta_matches_pinned_study(golden_ctx):
 
 
 def test_no_orphan_goldens():
-    figure_ids = {figure.figure_id for figure in FIGURES}
-    known = figure_ids | {"meta"} | {
-        f"{figure_id}.aggregates" for figure_id in figure_ids
-    }
+    known = {figure.figure_id for figure in FIGURES} | {"meta"}
     orphans = [
         path.name
         for path in GOLDEN_DIR.glob("*.json")
         if path.stem not in known
     ]
-    assert not orphans, f"goldens without a figure module: {orphans}"
+    assert not orphans, f"goldens without a figure: {orphans}"
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.cdf import Cdf, WeightedCdf
 from repro.analysis.sketch import QuantileSketch
-from repro.experiments.base import (
+from repro.experiments.figures import (
     BANDWIDTH_KBPS_GRID,
     FPS_GRID,
     JITTER_MS_GRID,
