@@ -17,9 +17,10 @@
 # hold) plus the serial-vs-parallel oracle, the corrupted-checkpoint
 # resume tests, and a 2x2 scenario sweep through repro.sweep (first
 # run simulates + caches, rerun must be 100% cache hits with a
-# byte-identical report), the chaos smoke (a hung worker + a real
-# SIGTERM injected into a tiny study; recovery must be byte-identical;
-# the same plan at --workers 1 must be refused with exit 2),
+# byte-identical report), the chaos smoke (a hung worker, a real
+# SIGTERM and a 3000-byte disk budget against one serial golden; every
+# cell complete or refused; the same plan at --workers 1 must be
+# refused with exit 2),
 # the service smoke (a real `repro serve` round trip: POST, SSE,
 # CSV download diffed against the direct run, SIGTERM drain), and the
 # disk-pressure smoke (a budget-governed sketch study must degrade at
@@ -186,26 +187,30 @@ print(f"sweep smoke ok: {manifest['cells']} cells, rerun all hits, "
       f"baseline {baseline['cell_id']} with {baseline['records']} records")
 EOF
 
-echo "== chaos smoke (hung worker + SIGTERM, byte-identical recovery) =="
+echo "== chaos smoke (hung worker + SIGTERM + 3000-byte budget, one golden) =="
 python -m repro.cli chaos --plan examples/chaos/smoke.json \
-    --scale 0.02 --workers 2 --report "$out/chaos.json" --quiet
+    --scale 0.02 --workers 2 --pressure-budget 3000 \
+    --report "$out/chaos.json" --quiet
 
 python - "$out" <<'EOF'
-import json, sys
+import json, re, sys
 from pathlib import Path
 out = Path(sys.argv[1])
 report = json.loads((out / "chaos.json").read_text())
 assert report["ok"] is True, report
+assert re.fullmatch(r"[0-9a-f]{64}", report["golden_sha256"]), report
 outcomes = report["outcomes"]
-assert len(outcomes) == 2, [o["fault"] for o in outcomes]
-bad = [o for o in outcomes if o["status"] != "recovered"]
+cells = [o["cell"] for o in outcomes]
+assert len(outcomes) == 4, cells  # control, two faults, one budget
+assert cells[0] == "control" and cells[-1] == "budget=3000B", cells
+bad = [o for o in outcomes if o["status"] not in ("complete", "refused")]
 assert not bad, bad
-print("chaos smoke ok: " + ", ".join(
-    f"{o['fault']} -> {o['status']}" for o in outcomes))
+print("chaos smoke ok: golden " + report["golden_sha256"][:12] + "; "
+      + ", ".join(f"{o['cell']} -> {o['status']}" for o in outcomes))
 EOF
 
 # worker.play faults need a worker process: in-process (--workers 1)
-# the same plan must be refused, not vacuously "recovered"
+# the same plan must be refused, not vacuously "complete"
 status=0
 python -m repro.cli chaos --plan examples/chaos/smoke.json \
     --scale 0.02 --workers 1 --quiet 2> "$out/chaos-w1.err" || status=$?

@@ -11,11 +11,12 @@ The subsystem that keeps the execution stack honest about failure:
   production writes go through (fsync-before-rename durability,
   crash-atomic temp files, named fault hooks — no monkeypatching);
 - `repro.chaos.matrix` — :func:`~repro.chaos.matrix.run_chaos_matrix`:
-  runs a study under each fault of a plan and asserts the standing
-  guarantees (resume byte-identical to the fault-free golden, partial
-  manifests honest, no corrupt artifacts left behind).
+  runs a study once per cell (each fault of a plan, each disk budget)
+  and judges every cell against one serial golden: complete, degraded,
+  refused, or FAILED.
 
-``repro chaos --plan …`` drives the matrix from the CLI.
+``repro chaos --plan …`` drives the matrix from the CLI, and ``repro
+validate`` runs it with only the fault-free control cell.
 
 `repro.chaos.matrix` imports `repro.runtime` (which itself uses the
 seam), so it is intentionally **not** re-exported here — import it as

@@ -1,95 +1,54 @@
-"""The chaos matrix: run a study under each fault, assert the guarantees.
+"""The chaos matrix: one golden, one list of cells, one judge.
 
-For every fault of a :class:`~repro.chaos.plan.FaultPlan` the matrix
-runs one checkpointed study with only that fault injected, then a
-fault-free ``resume=True`` run on the same journal, and holds the
-outcome to the standing guarantees:
+The golden is the serial reference ``Study(config).run()``.  By the
+determinism contract its CSV is the same in exact and sketch mode and
+at any worker count, so one golden serves every cell.  The cells:
 
-1. **Recovered** — the chaos run (or its resume) produced a dataset
-   byte-identical to the fault-free golden.
-2. **Quarantined honestly** — if shards exhausted their retries, the
-   run manifest names every one of them, the partial dataset contains
-   exactly the non-quarantined users, and the fault-free resume still
-   converges to the golden.
-3. **No corrupt artifacts** — after recovery the checkpoint directory
-   is fully consistent: manifest parses, every journaled shard loads
-   with its journaled record count, no orphaned temp files.
+- an optional fault-free **control** cell (the ``None`` budget), run
+  like a fault cell with nothing injected — alone, it is ``repro
+  validate``'s serial-vs-parallel oracle;
+- one cell per **fault** of a :class:`~repro.chaos.plan.FaultPlan`,
+  at ``workers`` on the given config;
+- one cell per **disk budget**, on the in-process sketch path;
+- the **shrink** cell: a budget cut mid-run through the
+  ``pressure.disk`` fault site.
 
-Any violation is a failed :class:`ChaosOutcome`; ``repro chaos``
-exits non-zero on the first one.
+Every cell's run is then resumed fault-free from its journal, the
+journal is checked (:meth:`CheckpointStore.verify`), and the CSVs are
+compared byte for byte against the golden.  :func:`judge` turns those
+facts into exactly one status; a ``FAILED`` cell fails the report and
+``repro chaos`` exits 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import json
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.chaos.plan import Fault, FaultPlan
-from repro.core.records import StudyDataset
-from repro.core.study import StudyConfig
-from repro.errors import CheckpointError
+from repro.core.study import Study, StudyConfig
 from repro.pressure import PressureConfig
-from repro.runtime.checkpoint import (
-    MANIFEST_NAME,
-    SPILL_DIR_NAME,
-    CheckpointStore,
-)
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import RunResult, RuntimeConfig, run_study
 from repro.runtime.pool import BackoffPolicy
 
 
-def verify_artifacts(checkpoint_dir: str | Path) -> list[str]:
-    """Integrity problems in a checkpoint directory (empty = clean).
-
-    Checks the post-recovery contract: the manifest parses, every
-    shard journaled ``done`` loads with its journaled record count,
-    and no temp files were orphaned.
-    """
-    directory = Path(checkpoint_dir)
-    problems: list[str] = []
-    for orphan in sorted(directory.glob("*.tmp.*")):
-        problems.append(f"orphaned temp file {orphan.name}")
-    manifest_path = directory / MANIFEST_NAME
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, ValueError) as exc:
-        problems.append(f"unreadable manifest: {exc}")
-        return problems
-    store = CheckpointStore(directory)
-    store._manifest = manifest
-    for shard_id, entry in sorted(manifest.get("shards", {}).items()):
-        if entry.get("status") != "done":
-            continue
-        try:
-            if entry.get("format") == "spill":
-                store.load_shard_spill(int(shard_id))
-            else:
-                store.load_shard(int(shard_id))
-        except CheckpointError as exc:
-            problems.append(f"shard {shard_id}: {exc}")
-    spill_dir = directory / SPILL_DIR_NAME
-    if spill_dir.is_dir():
-        for orphan in sorted(spill_dir.glob("*.tmp.*")):
-            problems.append(f"orphaned temp file spill/{orphan.name}")
-    return problems
-
-
 @dataclass(frozen=True)
 class ChaosOutcome:
-    """One fault's verdict against the guarantees."""
+    """One cell's verdict."""
 
-    fault: Fault
-    #: "recovered" (byte-identical, possibly via resume),
-    #: "quarantined" (honest partial + resume converged), or "FAILED".
+    cell: str
+    #: "complete", "degraded", "refused", or "FAILED" (see :func:`judge`).
     status: str
-    #: The chaos run was interrupted by the injected signal.
-    interrupted: bool
-    #: Shards quarantined by the chaos run.
+    #: What interrupted the run ("" when nothing did).
+    interrupted_by: str
+    #: Shards the run quarantined.
     quarantined: tuple[int, ...]
-    #: Retries the chaos run burned (watchdog kills included).
+    #: Retries the run burned (watchdog kills included).
     retries: int
     detail: str = ""
 
@@ -100,7 +59,7 @@ class ChaosOutcome:
 
 @dataclass(frozen=True)
 class ChaosReport:
-    """The whole matrix: one golden digest, one outcome per fault."""
+    """The whole matrix: one golden digest, one outcome per cell."""
 
     plan: str
     golden_sha256: str
@@ -112,21 +71,17 @@ class ChaosReport:
 
     def format(self) -> str:
         """Aligned plain-text verdict table."""
-        width = max(
-            (len(o.fault.label) for o in self.outcomes), default=5
-        )
-        width = max(width, len("fault"))
+        width = max([len("cell")] + [len(o.cell) for o in self.outcomes])
         lines = [
             f"chaos matrix {self.plan!r} — golden "
             f"{self.golden_sha256[:12]}",
-            f"{'fault'.ljust(width)}  {'status':<12} "
-            f"{'intr':<5} {'retries':>7}  detail",
+            f"{'cell'.ljust(width)}  {'status':<9} {'interrupted':<12} "
+            f"{'retries':>7}  detail",
         ]
         for o in self.outcomes:
             lines.append(
-                f"{o.fault.label.ljust(width)}  {o.status:<12} "
-                f"{'yes' if o.interrupted else '-':<5} "
-                f"{o.retries:>7d}  {o.detail}"
+                f"{o.cell.ljust(width)}  {o.status:<9} "
+                f"{o.interrupted_by or '-':<12} {o.retries:>7d}  {o.detail}"
             )
         verdict = "all guarantees held" if self.ok else "GUARANTEES VIOLATED"
         lines.append(verdict)
@@ -139,55 +94,182 @@ class ChaosReport:
             "golden_sha256": self.golden_sha256,
             "ok": self.ok,
             "outcomes": [
-                {
-                    "fault": outcome.fault.label,
-                    "site": outcome.fault.site,
-                    "action": outcome.fault.action,
-                    "status": outcome.status,
-                    "interrupted": outcome.interrupted,
-                    "quarantined": list(outcome.quarantined),
-                    "retries": outcome.retries,
-                    "detail": outcome.detail,
-                }
-                for outcome in self.outcomes
+                dataclasses.asdict(outcome) for outcome in self.outcomes
             ],
         }
 
 
-def _sha(dataset: StudyDataset) -> str:
-    return hashlib.sha256(dataset.to_csv_string().encode()).hexdigest()
+@dataclass(frozen=True)
+class CellRun:
+    """What one cell's run left behind: everything the judge reads."""
+
+    label: str
+    #: The one interrupt this cell may cause: a signal fault's signal
+    #: name, ``"disk-budget"`` for a budget cell, "" for none.
+    cause: str = ""
+    interrupted: bool = False
+    #: The run manifest's ``interrupted_by`` ("" when absent).
+    interrupted_by: str = ""
+    #: Shards the run quarantined, and the shards its manifest names.
+    quarantined: tuple[int, ...] = ()
+    named_quarantine: tuple[int, ...] = ()
+    #: For a finished run with quarantined shards: the users its
+    #: partial dataset holds, and the users it should hold.
+    users: frozenset[str] = frozenset()
+    kept_users: frozenset[str] = frozenset()
+    retries: int = 0
+    journal_errors: int = 0
+    #: Final disk-budget level ("" when unbudgeted), spill-batch
+    #: shrinks, and degradation events the budget logged.
+    level: str = ""
+    batch_shrinks: int = 0
+    pressure_events: int = 0
+    #: The run's CSV when it finished whole, else None.
+    csv: str | None = None
+    #: The fault-free resume's CSV, None when the resume did not complete.
+    resumed_csv: str | None = None
+    #: What :meth:`CheckpointStore.verify` found after the resume.
+    artifact_problems: tuple[str, ...] = ()
 
 
-def _check_quarantine_honesty(
-    result: RunResult, golden_users_by_shard: dict[int, tuple[str, ...]]
-) -> str:
-    """'' if the partial manifest tells the truth, else the lie."""
-    manifest = result.manifest
-    named = manifest.get("quarantined", {}).get("shards")
-    if named != sorted(result.failed_shards):
-        return (
-            f"manifest names quarantined shards {named!r}, run lost "
-            f"{sorted(result.failed_shards)!r}"
+def judge(run: CellRun, golden: str) -> ChaosOutcome:
+    """The one verdict rule for every cell of the matrix.
+
+    ``complete``
+        Byte-identical to the golden.  Retries are allowed.
+    ``degraded``
+        Byte-identical, but journal writes were lost or the disk budget
+        pressed (level above ``ok``, spill batches shrunk, events
+        logged); or shards were quarantined honestly — the manifest
+        names every one and the partial dataset holds exactly the
+        other users.
+    ``refused``
+        The run was interrupted, its ``interrupted_by`` names the
+        cell's own cause (a signal fault's signal, ``disk-budget`` for
+        a budget cell), and the resume converged.
+    ``FAILED``
+        Anything else: a CSV that differs from the golden (the detail
+        names the first line), a manifest that misnames the quarantined
+        shards, an interrupt by anything but the cell's cause, a resume
+        that did not complete, or a dirty journal.
+    """
+    problems: list[str] = []
+    if run.interrupted:
+        status = "refused"
+        detail = f"interrupted by {run.interrupted_by}, resume converged"
+        if not run.cause or run.interrupted_by != run.cause:
+            problems.append(
+                f"interrupted by {run.interrupted_by!r}, "
+                + (f"not by {run.cause!r}" if run.cause
+                   else "which this cell cannot cause")
+            )
+    elif run.quarantined:
+        status = "degraded"
+        detail = f"shards {list(run.quarantined)} quarantined honestly"
+        missing = sorted(run.kept_users - run.users)
+        if run.users - run.kept_users:
+            problems.append("dataset holds records of quarantined shards")
+        if missing:
+            problems.append(
+                f"dataset is missing non-quarantined users: {missing[:5]}"
+            )
+    else:
+        reasons = []
+        if run.journal_errors:
+            reasons.append(f"{run.journal_errors} journal write(s) lost")
+        if (
+            run.level not in ("", "ok")
+            or run.batch_shrinks
+            or run.pressure_events
+        ):
+            reasons.append(
+                f"under pressure (level={run.level}, "
+                f"batch shrinks={run.batch_shrinks})"
+            )
+        status = "degraded" if reasons else "complete"
+        detail = "; ".join(["byte-identical", *reasons])
+    if run.named_quarantine != run.quarantined:
+        problems.append(
+            f"manifest names quarantined shards "
+            f"{list(run.named_quarantine)}, run lost {list(run.quarantined)}"
         )
-    lost_users = {
-        user_id
-        for shard_id in result.failed_shards
-        for user_id in golden_users_by_shard[shard_id]
-    }
-    dataset_users = {record.user_id for record in result.dataset}
-    if dataset_users & lost_users:
-        return "dataset contains records from quarantined shards"
-    kept = set(result.plan.user_order) - lost_users
-    if dataset_users != kept:
-        return (
-            f"dataset is missing non-quarantined users: "
-            f"{sorted(kept - dataset_users)[:5]}"
+    if run.resumed_csv is None:
+        problems.append("fault-free resume did not complete")
+    problems.extend(run.artifact_problems)
+    for what, csv in (("run", run.csv), ("resumed", run.resumed_csv)):
+        line = _first_divergence(golden, csv) if csv is not None else None
+        if line is not None:
+            problems.append(
+                f"{what} CSV diverges from the golden at line {line}"
+            )
+    if problems:
+        status, detail = "FAILED", "; ".join(problems)
+    return ChaosOutcome(
+        cell=run.label,
+        status=status,
+        interrupted_by=run.interrupted_by,
+        quarantined=run.quarantined,
+        retries=run.retries,
+        detail=detail,
+    )
+
+
+def _first_divergence(golden: str, csv: str) -> int | None:
+    """1-based number of the first line where ``csv`` leaves the
+    golden (None when the two are byte-identical)."""
+    if csv == golden:
+        return None
+    want, got = golden.splitlines(), csv.splitlines()
+    for number, (left, right) in enumerate(zip(want, got), start=1):
+        if left != right:
+            return number
+    return min(len(want), len(got)) + 1
+
+
+@dataclass(frozen=True)
+class _Cell:
+    label: str
+    config: StudyConfig
+    workers: int
+    plan: FaultPlan | None = None
+    #: See :attr:`CellRun.cause`.
+    cause: str = ""
+    pressure: PressureConfig | None = None
+
+
+def _cells(
+    plan, config, workers, budgets, shrink_to, shrink_after_writes
+) -> list[_Cell]:
+    cells = [_Cell("control", config, workers)] if None in budgets else []
+    for case in plan.singletons() if plan is not None else ():
+        fault = case.faults[0]
+        cause = fault.action.upper() if fault.site == "signal" else ""
+        cells.append(_Cell(fault.label, config, workers, case, cause))
+    # Spill-batch degradation only exists on the streaming path.
+    sketch = dataclasses.replace(config, aggregation="sketch")
+    for budget in budgets:
+        if budget is not None:
+            cells.append(_Cell(
+                f"budget={budget}B", sketch, 1, None, "disk-budget",
+                PressureConfig(max_disk_bytes=budget),
+            ))
+    if shrink_to is not None:
+        # The quota starts effectively unlimited and is cut to
+        # ``shrink_to`` bytes after ``shrink_after_writes`` journal writes.
+        shrink = Fault(
+            site="pressure.disk", action="shrink", budget_bytes=shrink_to,
+            after_writes=shrink_after_writes,
         )
-    return ""
+        cells.append(_Cell(
+            shrink.label, sketch, 1,
+            FaultPlan(name="pressure", faults=(shrink,)), "disk-budget",
+            PressureConfig(max_disk_bytes=1 << 40),
+        ))
+    return cells
 
 
 def run_chaos_matrix(
-    plan: FaultPlan,
+    plan: FaultPlan | None = None,
     config: StudyConfig | None = None,
     workers: int = 2,
     shard_count: int | None = 8,
@@ -196,407 +278,115 @@ def run_chaos_matrix(
     watchdog_deadline_s: float = 2.0,
     backoff: BackoffPolicy | None = None,
     progress: Callable[[str], None] | None = None,
+    budgets: tuple[int | None, ...] = (),
+    shrink_to: int | None = None,
+    shrink_after_writes: int = 4,
 ) -> ChaosReport:
-    """Run the study under each of the plan's faults; judge the outcomes.
+    """Compute the golden, run every cell, judge each one.
 
-    ``base_dir`` holds one checkpoint directory per fault (a temp
-    directory when omitted).  Signal faults are delivered in-process on
-    their schedule, so the matrix must run on the main thread.
-    ``worker.play`` faults need a worker process to hit: `RuntimeConfig`
-    rejects them with ``ValueError`` at ``workers=1``.
+    ``budgets`` adds one cell per disk budget (``None``: the control
+    cell) and ``shrink_to`` the shrink cell.  ``base_dir`` holds one
+    checkpoint directory per cell (a temp directory when omitted).
+    Signal faults are delivered in-process on their schedule, so the
+    matrix must run on the main thread.  ``worker.play`` faults need a
+    worker process to hit: `RuntimeConfig` rejects them with
+    ``ValueError`` at ``workers=1``.
     """
-    import tempfile
-
     config = config if config is not None else StudyConfig()
     if backoff is None:
-        backoff = BackoffPolicy(base_s=0.05, cap_s=1.0, key=plan.seed)
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
+        backoff = BackoffPolicy(
+            base_s=0.05, cap_s=1.0, key=plan.seed if plan is not None else 0
+        )
+    cells = _cells(
+        plan, config, workers, budgets, shrink_to, shrink_after_writes
+    )
+    note = progress if progress is not None else (lambda message: None)
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as fallback:
         base = Path(base_dir) if base_dir is not None else Path(fallback)
         base.mkdir(parents=True, exist_ok=True)
 
-        note(f"golden run (no faults, workers={workers})...")
-        golden = run_study(
-            config, RuntimeConfig(workers=workers, shard_count=shard_count)
-        )
-        golden_sha = _sha(golden.dataset)
-        users_by_shard = {
-            s.shard_id: s.user_ids for s in golden.plan.shards
-        }
-        note(f"golden: {len(golden.dataset)} records, "
-             f"sha256 {golden_sha[:12]}")
+        note("golden run (serial, no faults)...")
+        golden = Study(config).run().to_csv_string()
+        golden_sha = hashlib.sha256(golden.encode()).hexdigest()
+        note(f"golden: sha256 {golden_sha[:12]}")
 
         outcomes = []
-        for index, case in enumerate(plan.singletons()):
-            fault = case.faults[0]
-            ckpt = base / f"fault_{index:02d}"
-            note(f"[{index + 1}/{len(plan.faults)}] {fault.label}...")
-            chaos = run_study(
-                config,
+        for index, cell in enumerate(cells):
+            note(f"[{index + 1}/{len(cells)}] {cell.label}...")
+            ckpt = base / f"cell_{index:02d}"
+            run = run_study(
+                cell.config,
                 RuntimeConfig(
-                    workers=workers,
+                    workers=cell.workers,
                     shard_count=shard_count,
                     checkpoint_dir=ckpt,
                     max_retries=max_retries,
-                    fault_plan=case,
+                    fault_plan=cell.plan,
                     backoff=backoff,
                     watchdog_deadline_s=watchdog_deadline_s,
-                    handle_signals=fault.site == "signal",
+                    handle_signals=bool(
+                        cell.plan and cell.plan.for_site("signal")
+                    ),
+                    pressure=cell.pressure,
                 ),
             )
-            outcomes.append(
-                _judge(
-                    fault, chaos, config, workers, shard_count, ckpt,
-                    golden_sha, users_by_shard,
-                )
-            )
+            facts = _observe(cell, run, ckpt, shard_count)
+            outcomes.append(judge(facts, golden))
             note(f"  -> {outcomes[-1].status}: {outcomes[-1].detail}")
         return ChaosReport(
-            plan=plan.name,
+            plan=plan.name if plan is not None else "no faults",
             golden_sha256=golden_sha,
             outcomes=tuple(outcomes),
         )
 
 
-def _judge(
-    fault, chaos, config, workers, shard_count, ckpt, golden_sha,
-    users_by_shard,
-) -> ChaosOutcome:
-    """Hold one fault's chaos run (+ fault-free resume) to the rules."""
-    quarantined = chaos.failed_shards
-    retries = chaos.telemetry.retries
-    problems: list[str] = []
-    status = "recovered"
-    detail = ""
-
-    if quarantined:
-        status = "quarantined"
-        lie = _check_quarantine_honesty(chaos, users_by_shard)
-        if lie:
-            problems.append(lie)
-        detail = (
-            f"shards {list(quarantined)} quarantined "
-            f"({chaos.quarantined_fraction:.1%} of plays)"
-        )
-    elif not chaos.interrupted and _sha(chaos.dataset) != golden_sha:
-        problems.append("fault-tolerant run diverged from the golden")
-
-    # The recovery path every fault must converge through: a fault-free
-    # resume of the same journal must complete byte-identical.
+def _observe(
+    cell: _Cell, run: RunResult, ckpt: Path, shard_count: int | None
+) -> CellRun:
+    """Gather the judge's facts: the run's CSV, a fault-free resume of
+    its journal, and the journal check after it."""
+    users = kept = frozenset()
+    if run.failed_shards and not run.interrupted:
+        lost = {
+            user_id
+            for shard in run.plan.shards
+            if shard.shard_id in run.failed_shards
+            for user_id in shard.user_ids
+        }
+        users = frozenset(record.user_id for record in run.dataset)
+        kept = frozenset(run.plan.user_order) - lost
+    # Read before the resume, which may sweep this run's spill files.
+    csv = run.dataset.to_csv_string() if run.complete else None
     resumed = run_study(
-        config,
+        cell.config,
         RuntimeConfig(
-            workers=workers,
+            workers=cell.workers,
             shard_count=shard_count,
             checkpoint_dir=ckpt,
             resume=True,
         ),
     )
-    if resumed.failed_shards or resumed.interrupted:
-        problems.append(
-            f"fault-free resume did not complete "
-            f"(failed={list(resumed.failed_shards)})"
-        )
-    elif _sha(resumed.dataset) != golden_sha:
-        problems.append("resumed dataset diverged from the golden")
-
-    artifact_problems = verify_artifacts(ckpt)
-    problems.extend(artifact_problems)
-
-    if chaos.interrupted and not detail:
-        detail = (
-            f"interrupted by {chaos.manifest.get('interrupted_by', '?')}, "
-            f"resume converged"
-        )
-    elif not detail:
-        detail = "byte-identical"
-    if problems:
-        status = "FAILED"
-        detail = "; ".join(problems)
-    return ChaosOutcome(
-        fault=fault,
-        status=status,
-        interrupted=chaos.interrupted,
-        quarantined=quarantined,
-        retries=retries,
-        detail=detail,
-    )
-
-
-# -- resource-pressure matrix -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class PressureOutcome:
-    """One budget cell's verdict.
-
-    Under any disk budget a run must end in exactly one of three honest
-    states — never a torn artifact, never silent data loss:
-
-    ``complete``
-        Finished with the budget never leaving the ``ok`` level.
-    ``degraded``
-        Finished under pressure — smaller spill batches, thinned
-        manifest flushes, skipped cache stores — with a dataset still
-        byte-identical to the unbudgeted golden.
-    ``refused``
-        The hard watermark tripped: the run drained in-flight shards,
-        flushed a consistent checkpoint, and reported
-        ``interrupted_by: "disk-budget"``; an unbudgeted resume of the
-        same journal converges to the golden.
-    """
-
-    #: The cell's ``max_disk_bytes`` (None: unbudgeted control).
-    budget_bytes: int | None
-    #: "complete", "degraded", "refused", or "FAILED".
-    status: str
-    #: Final budget level ("ok"/"soft"/"hard"; "" when unbudgeted).
-    level: str
-    #: Spill-batch shrinks the run performed under pressure.
-    batch_shrinks: int
-    #: Mid-run quota shrink injected via a ``pressure.disk`` fault.
-    shrunk_mid_run: bool = False
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "FAILED"
-
-    @property
-    def label(self) -> str:
-        if self.budget_bytes is None:
-            name = "unbudgeted"
-        else:
-            name = f"{self.budget_bytes}B"
-        return f"{name}+shrink" if self.shrunk_mid_run else name
-
-
-@dataclass(frozen=True)
-class PressureReport:
-    """The whole pressure matrix: one golden digest, one row per budget."""
-
-    golden_sha256: str
-    outcomes: tuple[PressureOutcome, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    def format(self) -> str:
-        """Aligned plain-text verdict table."""
-        width = max((len(o.label) for o in self.outcomes), default=6)
-        width = max(width, len("budget"))
-        lines = [
-            f"pressure matrix — golden {self.golden_sha256[:12]}",
-            f"{'budget'.ljust(width)}  {'status':<10} {'level':<5} "
-            f"{'shrinks':>7}  detail",
-        ]
-        for o in self.outcomes:
-            lines.append(
-                f"{o.label.ljust(width)}  {o.status:<10} "
-                f"{o.level or '-':<5} {o.batch_shrinks:>7d}  {o.detail}"
-            )
-        verdict = "all budgets honest" if self.ok else "GUARANTEES VIOLATED"
-        lines.append(verdict)
-        return "\n".join(lines)
-
-    def payload(self) -> dict:
-        """JSON-ready record of the matrix run."""
-        return {
-            "golden_sha256": self.golden_sha256,
-            "ok": self.ok,
-            "outcomes": [
-                {
-                    "budget_bytes": o.budget_bytes,
-                    "status": o.status,
-                    "level": o.level,
-                    "batch_shrinks": o.batch_shrinks,
-                    "shrunk_mid_run": o.shrunk_mid_run,
-                    "detail": o.detail,
-                }
-                for o in self.outcomes
-            ],
-        }
-
-
-def run_pressure_matrix(
-    config: StudyConfig | None = None,
-    budgets: tuple[int | None, ...] = (None,),
-    shrink_to: int | None = None,
-    shrink_after_writes: int = 4,
-    workers: int = 1,
-    shard_count: int | None = 4,
-    base_dir: str | Path | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> PressureReport:
-    """Run a sketch study under each disk budget; judge the outcomes.
-
-    Every cell must settle in exactly one of {complete, degraded,
-    refused} with clean artifacts; complete/degraded cells must be
-    byte-identical to the unbudgeted golden, and refused cells must
-    resume (unbudgeted) to it.  ``shrink_to`` adds one chaos cell whose
-    quota starts unlimited-ish and is cut to that many bytes after
-    ``shrink_after_writes`` journal writes — the ``pressure.disk``
-    fault site.
-    """
-    import dataclasses
-    import tempfile
-
-    config = config if config is not None else StudyConfig()
-    if config.aggregation != "sketch":
-        # Spill-batch degradation only exists on the streaming path.
-        config = dataclasses.replace(config, aggregation="sketch")
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    cells: list[tuple[int | None, Fault | None]] = [
-        (budget, None) for budget in budgets
-    ]
-    if shrink_to is not None:
-        cells.append(
-            (
-                1 << 40,
-                Fault(
-                    site="pressure.disk",
-                    action="shrink",
-                    budget_bytes=shrink_to,
-                    after_writes=shrink_after_writes,
-                ),
-            )
-        )
-
-    with tempfile.TemporaryDirectory(prefix="repro-pressure-") as fallback:
-        base = Path(base_dir) if base_dir is not None else Path(fallback)
-        base.mkdir(parents=True, exist_ok=True)
-
-        note(f"golden run (no budget, workers={workers})...")
-        golden = run_study(
-            config, RuntimeConfig(workers=workers, shard_count=shard_count)
-        )
-        golden_sha = _sha_any(golden.dataset)
-        note(f"golden: {len(golden.dataset)} records, "
-             f"sha256 {golden_sha[:12]}")
-
-        outcomes = []
-        for index, (budget_bytes, fault) in enumerate(cells):
-            ckpt = base / f"budget_{index:02d}"
-            pressure = (
-                PressureConfig(max_disk_bytes=budget_bytes)
-                if budget_bytes is not None
-                else None
-            )
-            plan = (
-                FaultPlan(name="pressure", faults=(fault,))
-                if fault is not None
-                else None
-            )
-            label = (
-                f"{budget_bytes}B" if budget_bytes is not None
-                else "unbudgeted"
-            )
-            if fault is not None:
-                label += f" shrink->{fault.budget_bytes}B"
-            note(f"[{index + 1}/{len(cells)}] {label}...")
-            run = run_study(
-                config,
-                RuntimeConfig(
-                    workers=workers,
-                    shard_count=shard_count,
-                    checkpoint_dir=ckpt,
-                    pressure=pressure,
-                    fault_plan=plan,
-                ),
-            )
-            outcomes.append(
-                _judge_pressure(
-                    run, config, workers, shard_count, ckpt, golden_sha,
-                    budget_bytes, fault,
-                )
-            )
-            note(f"  -> {outcomes[-1].status}: {outcomes[-1].detail}")
-        return PressureReport(
-            golden_sha256=golden_sha, outcomes=tuple(outcomes)
-        )
-
-
-def _sha_any(dataset) -> str:
-    """Digest exact and spilled datasets alike (both emit CSV)."""
-    return hashlib.sha256(dataset.to_csv_string().encode()).hexdigest()
-
-
-def _judge_pressure(
-    run, config, workers, shard_count, ckpt, golden_sha, budget_bytes,
-    fault,
-) -> PressureOutcome:
-    """Hold one budget cell to the honesty contract."""
-    problems: list[str] = []
-    snapshot = run.telemetry.pressure or {}
-    level = snapshot.get("level", "")
-    shrinks = run.telemetry.batch_shrinks
-    detail = ""
-
-    if run.failed_shards:
-        problems.append(
-            f"budget run quarantined shards {list(run.failed_shards)}"
-        )
-
-    if run.interrupted:
-        status = "refused"
-        blamed = run.manifest.get("interrupted_by")
-        if blamed != "disk-budget":
-            problems.append(
-                f"interrupted by {blamed!r}, not the disk budget"
-            )
-        # An unbudgeted resume of the refused journal must converge.
-        resumed = run_study(
-            config,
-            RuntimeConfig(
-                workers=workers,
-                shard_count=shard_count,
-                checkpoint_dir=ckpt,
-                resume=True,
-            ),
-        )
-        if not resumed.complete:
-            problems.append("unbudgeted resume did not complete")
-        elif _sha_any(resumed.dataset) != golden_sha:
-            problems.append("resumed dataset diverged from the golden")
-        else:
-            detail = "hard watermark refused, resume converged"
-    else:
-        degraded = bool(
-            shrinks
-            or (level and level != "ok")
-            or snapshot.get("events")
-        )
-        status = "degraded" if degraded else "complete"
-        if _sha_any(run.dataset) != golden_sha:
-            problems.append(
-                f"{status} run diverged from the unbudgeted golden"
-            )
-        elif degraded:
-            detail = (
-                f"byte-identical under pressure "
-                f"(level={level}, batch shrinks={shrinks})"
-            )
-        else:
-            detail = "byte-identical"
-
-    problems.extend(verify_artifacts(ckpt))
-    if problems:
-        status = "FAILED"
-        detail = "; ".join(problems)
-    return PressureOutcome(
-        budget_bytes=budget_bytes,
-        status=status,
-        level=level,
-        batch_shrinks=shrinks,
-        shrunk_mid_run=fault is not None,
-        detail=detail,
+    pressure = run.telemetry.pressure or {}
+    return CellRun(
+        label=cell.label,
+        cause=cell.cause,
+        interrupted=run.interrupted,
+        interrupted_by=run.manifest.get("interrupted_by", ""),
+        quarantined=run.failed_shards,
+        named_quarantine=tuple(
+            run.manifest.get("quarantined", {}).get("shards", ())
+        ),
+        users=users,
+        kept_users=kept,
+        retries=run.telemetry.retries,
+        journal_errors=len(run.telemetry.journal_errors),
+        level=pressure.get("level", ""),
+        batch_shrinks=run.telemetry.batch_shrinks,
+        pressure_events=len(pressure.get("events", ())),
+        csv=csv,
+        resumed_csv=(
+            resumed.dataset.to_csv_string() if resumed.complete else None
+        ),
+        artifact_problems=tuple(CheckpointStore(ckpt).verify()),
     )

@@ -259,11 +259,12 @@ def load_plan(path: str | Path) -> FaultPlan:
 def default_plan() -> FaultPlan:
     """The standing chaos matrix: one fault per failure family.
 
-    Every entry must leave the execution stack either *recovered*
-    (resumed run byte-identical to the fault-free golden) or honestly
-    *degraded* (partial manifest naming each quarantined shard) — and
-    never a corrupt artifact.  Pinned by ``tests/test_chaos_matrix.py``
-    and the CI chaos smoke stage.
+    Every entry must end *complete* (byte-identical to the fault-free
+    golden), honestly *degraded* (journal writes lost, or a partial
+    manifest naming each quarantined shard) or honestly *refused*
+    (interrupted, and the resume converges) — and never leave a
+    corrupt artifact.  Pinned by ``tests/test_chaos_matrix.py`` and the
+    CI chaos smoke stage.
     """
     return FaultPlan(
         name="default",

@@ -22,11 +22,12 @@ all production callers; tests build their own with a plan.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from repro.chaos.plan import WRITE_SITES, Fault, FaultPlan
 from repro.pressure.budget import DiskBudget, category_for_site
@@ -113,28 +114,7 @@ class IoSeam:
         same path race only at the atomic rename: last writer wins and
         every intermediate state is a complete file.
         """
-        path = Path(path)
-        self._fire(site, "pre", path)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                self._fire(site, "mid", path)
-                if self._fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-        except BaseException:
-            # ENOSPC/EIO/kill mid-write: never leave a torn temp file.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-        self._charge(site, tmp, path)
-        os.replace(tmp, path)
-        if self._fsync:
-            self._fsync_dir(path.parent)
-        self._fire(site, "post", path)
+        self._commit(Path(path), site, lambda fh: fh.write(text))
 
     def write_chunks(
         self, path: Path, chunks: "Iterable[str]", site: str
@@ -149,26 +129,34 @@ class IoSeam:
         fires after the last chunk, before the fsync, mirroring
         ``write_text``.  Returns the number of bytes written.
         """
-        path = Path(path)
+        return self._commit(
+            Path(path), site, lambda fh: sum(fh.write(c) for c in chunks)
+        )
+
+    def _commit(
+        self, path: Path, site: str, write: Callable[[TextIO], int]
+    ) -> int:
+        """The one durable write: ``write`` fills a temp file, which is
+        fsync'd, charged to the budget and renamed over ``path``."""
         self._fire(site, "pre", path)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        written = 0
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                for chunk in chunks:
-                    written += fh.write(chunk)
+                written = write(fh)
                 self._fire(site, "mid", path)
                 if self._fsync:
                     fh.flush()
                     os.fsync(fh.fileno())
+            self._charge(site, tmp, path)
+            os.replace(tmp, path)
         except BaseException:
-            try:
+            # ENOSPC/EIO mid-write, a budget refusal, a failed rename or
+            # a signal: never leave a torn temp file.  BaseException is
+            # safe to catch here because nothing is swallowed — the
+            # handler only unlinks and always re-raises.
+            with contextlib.suppress(OSError):
                 tmp.unlink()
-            except OSError:
-                pass
             raise
-        self._charge(site, tmp, path)
-        os.replace(tmp, path)
         if self._fsync:
             self._fsync_dir(path.parent)
         self._fire(site, "post", path)
@@ -176,7 +164,7 @@ class IoSeam:
 
     def _charge(self, site: str, tmp: Path, path: Path) -> None:
         """Charge this commit's net disk delta; refuse before the rename
-        (unlinking the temp) if it would cross the hard watermark."""
+        if it would cross the hard watermark."""
         if self.budget is None:
             return
         try:
@@ -187,17 +175,10 @@ class IoSeam:
             old_size = path.stat().st_size
         except OSError:
             old_size = 0
-        try:
-            self.budget.charge(
-                category_for_site(site), new_size - old_size,
-                enforce=site not in _UNENFORCED_SITES,
-            )
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        self.budget.charge(
+            category_for_site(site), new_size - old_size,
+            enforce=site not in _UNENFORCED_SITES,
+        )
 
     @staticmethod
     def _fsync_dir(directory: Path) -> None:

@@ -17,7 +17,8 @@ Subcommands::
                  [--force] [--report report.json]
                  [--quarantine-threshold 0.05]
     repro chaos  [--plan faults.toml] [--scale 0.02] [--workers 2]
-                 [--report chaos.json]
+                 [--report chaos.json] [--pressure-budget 300K]
+                 [--shrink-to 30K]
     repro serve  [--host 127.0.0.1] [--port 8050] [--workers 2]
                  [--cache-dir .serve-cache] [--queue-capacity 64]
                  [--max-disk-bytes 2G] [--max-cache-bytes 1G]
@@ -247,12 +248,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     oracle; exit non-zero on any invariant violation or divergence."""
     import tempfile
 
+    from repro.chaos.matrix import run_chaos_matrix
     from repro.runtime import (
         RuntimeConfig, ThrottledProgressPrinter, run_study,
     )
     from repro.core.submission import SubmissionSink
     from repro.errors import ValidationError
-    from repro.validate import ValidationConfig, run_differential_oracle
+    from repro.validate import ValidationConfig
 
     validation = ValidationConfig(enabled=True, strict=args.strict)
     sink = SubmissionSink(validation=validation)
@@ -295,12 +297,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     oracle_ok = True
     if not args.skip_oracle:
-        oracle = run_differential_oracle(
+        # The chaos matrix with only its control cell: the serial golden
+        # against one fault-free sharded run at --workers.
+        oracle = run_chaos_matrix(
+            None,
             StudyConfig(seed=args.seed, scale=args.oracle_scale),
             workers=args.workers,
+            shard_count=None,
+            budgets=(None,),
         )
-        oracle_ok = oracle.matched
-        print(f"  {oracle}")
+        oracle_ok = oracle.ok
+        control = oracle.outcomes[0]
+        print(f"  oracle: serial vs {args.workers} worker(s): "
+              f"{control.status} ({control.detail})")
 
     if violations or not oracle_ok:
         print("validation FAILED", file=sys.stderr)
@@ -385,8 +394,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the chaos matrix: the study under every fault of a plan,
-    asserting recovery/quarantine/artifact guarantees per fault."""
+    """Run the chaos matrix: the study under every fault of a plan (and
+    every ``--pressure-budget``), each cell judged against one golden."""
     from repro.chaos import default_plan, load_plan
     from repro.chaos.matrix import run_chaos_matrix
     from repro.errors import ChaosError
@@ -408,44 +417,28 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = StudyConfig(seed=args.seed, scale=args.scale)
+    pressure = args.pressure_budget or args.shrink_to is not None
     report = run_chaos_matrix(
         plan,
-        config,
+        StudyConfig(seed=args.seed, scale=args.scale),
         workers=args.workers,
         base_dir=args.base_dir,
         max_retries=args.max_retries,
         watchdog_deadline_s=args.watchdog_deadline,
         progress=None if args.quiet else print,
+        budgets=(None, *args.pressure_budget) if pressure else (),
+        shrink_to=args.shrink_to,
     )
-    pressure_report = None
-    if args.pressure_budget or args.shrink_to is not None:
-        from repro.chaos.matrix import run_pressure_matrix
-
-        pressure_report = run_pressure_matrix(
-            config,
-            budgets=(None, *args.pressure_budget),
-            shrink_to=args.shrink_to,
-            workers=1,
-            progress=None if args.quiet else print,
-        )
-    payload = report.payload()
-    if pressure_report is not None:
-        payload["pressure"] = pressure_report.payload()
     if args.report is not None:
         args.report.parent.mkdir(parents=True, exist_ok=True)
         args.report.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            json.dumps(report.payload(), indent=2, sort_keys=True) + "\n"
         )
     print()
     print(report.format())
-    if pressure_report is not None:
-        print()
-        print(pressure_report.format())
     if not args.quiet and args.report is not None:
         print(f"wrote {args.report}")
-    ok = report.ok and (pressure_report is None or pressure_report.ok)
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -681,8 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "built-in plan covering every fault site")
     chaos.add_argument("--seed", type=int, default=2001)
     chaos.add_argument("--scale", type=float, default=0.02,
-                       help="study scale per fault run (keep small: the "
-                            "matrix runs the study twice per fault)")
+                       help="study scale per cell (keep small: the "
+                            "matrix runs the study up to twice per cell)")
     chaos.add_argument("--workers", type=int, default=2,
                        help="worker processes per study run")
     chaos.add_argument("--max-retries", type=int, default=2,
@@ -691,20 +684,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds without a heartbeat before a worker "
                             "is presumed hung and rescheduled")
     chaos.add_argument("--base-dir", type=Path, default=None,
-                       help="keep per-fault checkpoint directories here "
+                       help="keep per-cell checkpoint directories here "
                             "(default: a temp directory)")
     chaos.add_argument("--report", type=Path, default=None,
                        help="also write the matrix verdicts as JSON here")
     chaos.add_argument("--pressure-budget", type=_parse_bytes,
                        action="append", default=[], metavar="BYTES",
-                       help="also run the resource-pressure matrix with "
-                            "this disk budget (repeatable); every cell "
-                            "must settle complete/degraded/refused with "
-                            "clean artifacts")
+                       help="add a fault-free control cell and a cell "
+                            "under this disk budget (repeatable); every "
+                            "cell must settle complete/degraded/refused "
+                            "with clean artifacts")
     chaos.add_argument("--shrink-to", type=_parse_bytes, default=None,
                        metavar="BYTES",
-                       help="add a pressure.disk chaos cell whose quota "
-                            "shrinks to this mid-run")
+                       help="add a control cell and a pressure.disk cell "
+                            "whose quota shrinks to this mid-run")
     chaos.add_argument("--quiet", action="store_true")
     chaos.set_defaults(func=_cmd_chaos)
 

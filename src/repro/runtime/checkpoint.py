@@ -38,6 +38,8 @@ from repro.errors import CheckpointError
 MANIFEST_NAME = "manifest.json"
 RUN_MANIFEST_NAME = "run_manifest.json"
 SPILL_DIR_NAME = "spill"
+#: The seam's in-flight temp files (``<name>.tmp.<pid>``).
+_TEMP_GLOB = "*.tmp.*"
 
 
 class CheckpointStore:
@@ -124,7 +126,7 @@ class CheckpointStore:
             stale.unlink()
         for stale in self.directory.glob("shard_*.spill.json"):
             stale.unlink()
-        for orphan in self.directory.glob("*.tmp.*"):
+        for orphan in self.directory.glob(_TEMP_GLOB):
             orphan.unlink()  # temp files from a killed writer
         if self.spill_dir.is_dir():
             for stale in self.spill_dir.iterdir():
@@ -295,6 +297,36 @@ class CheckpointStore:
                 f"records, manifest journaled {expected}"
             )
         return dataset
+
+    def verify(self) -> list[str]:
+        """Integrity problems of the journal on disk (empty = clean).
+
+        The post-recovery contract: the manifest parses, every shard
+        journaled ``done`` loads with its journaled record count, and
+        no writer left a temp file in the journal or its spill
+        directory.  Reloads the manifest from disk.
+        """
+        problems = [
+            f"orphaned temp file {orphan.relative_to(self.directory)}"
+            for directory in (self.directory, self.spill_dir)
+            for orphan in sorted(directory.glob(_TEMP_GLOB))
+        ]
+        try:
+            self._manifest = json.loads(self.manifest_path.read_text())
+        except (OSError, ValueError) as exc:
+            return problems + [f"unreadable manifest: {exc}"]
+        shards = self._manifest.get("shards", {})
+        for shard_id in sorted(shards, key=int):
+            if shards[shard_id].get("status") != "done":
+                continue
+            try:
+                if self.shard_format(int(shard_id)) == "spill":
+                    self.load_shard_spill(int(shard_id))
+                else:
+                    self.load_shard(int(shard_id))
+            except CheckpointError as exc:
+                problems.append(f"shard {shard_id}: {exc}")
+        return problems
 
     def invalidate_shard(self, shard_id: int) -> None:
         """Drop a shard from the journal so resume re-simulates it."""

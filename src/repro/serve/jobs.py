@@ -66,9 +66,6 @@ PAPER_PLAYS = 2855
 PAPER_USERS = 63
 PAPER_PLAYLIST = 98
 
-#: Fraction of plays lost to quarantine above which a study job fails.
-DEFAULT_QUARANTINE_THRESHOLD = 0.05
-
 
 def estimate_plays(config: StudyConfig) -> int:
     """Cheap scheduling-cost estimate (no population build): the
@@ -246,7 +243,6 @@ class JobManager:
         shard_workers: int = 1,
         queue_capacity: int = 64,
         quantum: int = 200,
-        quarantine_threshold: float = DEFAULT_QUARANTINE_THRESHOLD,
         max_disk_bytes: int | None = None,
         max_cache_bytes: int | None = None,
     ) -> None:
@@ -256,7 +252,6 @@ class JobManager:
         self.ckpt_root = self.cache_dir / "checkpoints"
         self.workers = workers
         self.shard_workers = shard_workers
-        self.quarantine_threshold = quarantine_threshold
         #: One ledger for the whole service: cache entries, checkpoint
         #: journals, and spill files all charge against it, so the
         #: watermarks see the service's real footprint.

@@ -184,17 +184,15 @@ def run_cell(
             "`repro cache gc` or raise the budget"
         )
     result = run_study(config, RuntimeConfig(workers=workers))
-    quarantined_fraction = 0.0
-    if result.failed_shards:
-        quarantined_fraction = getattr(result, "quarantined_fraction", 1.0)
-        if quarantined_fraction > quarantine_threshold:
-            raise SweepError(
-                f"cell {cell.cell_id!r}: shards "
-                f"{list(result.failed_shards)} failed after retries "
-                f"({quarantined_fraction:.1%} of plays quarantined, "
-                f"threshold {quarantine_threshold:.1%}); refusing to "
-                "cache a partial study"
-            )
+    quarantined_fraction = result.quarantined_fraction
+    if quarantined_fraction > quarantine_threshold:
+        raise SweepError(
+            f"cell {cell.cell_id!r}: shards "
+            f"{list(result.failed_shards)} failed after retries "
+            f"({quarantined_fraction:.1%} of plays quarantined, "
+            f"threshold {quarantine_threshold:.1%}); refusing to "
+            "cache a partial study"
+        )
     plays_per_second = result.telemetry.plays_per_second()
     store_skipped = False
     if cache is not None and not result.failed_shards:

@@ -19,13 +19,11 @@ from repro.validate.invariants import (
     validate_record,
 )
 from repro.validate.ledger import ValidationLedger, Violation
-from repro.validate.oracle import OracleResult, run_differential_oracle
 
 __all__ = [
     "COUNTING",
     "NOMINAL_FPS_CAP",
     "STRICT",
-    "OracleResult",
     "ValidationConfig",
     "ValidationLedger",
     "Violation",
@@ -36,6 +34,5 @@ __all__ = [
     "audit_session",
     "audit_tcp",
     "audit_udp",
-    "run_differential_oracle",
     "validate_record",
 ]

@@ -1,18 +1,26 @@
 """The chaos matrix's guarantees, held on a tiny study.
 
-These are the tentpole's pinned behaviors: every fault family in the
-default plan must leave the runtime either recovered (byte-identical
-to the fault-free run) or honestly degraded (quarantine named in the
-manifest), and never a corrupt artifact.  The watchdog case runs at
-``--workers 4``, the acceptance bar for hang detection.
+Every fault family in the default plan must leave the runtime
+complete (byte-identical to the serial golden), honestly degraded
+(journal writes lost, or quarantine named in the manifest) or honestly
+refused (interrupted, resume converges), and never a corrupt artifact.
+The watchdog case runs at ``--workers 4``, the acceptance bar for hang
+detection.  :class:`TestJudge` holds the verdict rule itself to
+hand-built facts, without simulating anything.
 """
 
 import pytest
 
 from repro.chaos import Fault, FaultPlan, default_plan
-from repro.chaos.matrix import run_chaos_matrix, verify_artifacts
+from repro.chaos.matrix import (
+    CellRun,
+    ChaosReport,
+    judge,
+    run_chaos_matrix,
+)
 from repro.core.study import Study, StudyConfig
 from repro.runtime import RuntimeConfig, run_study
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.pool import BackoffPolicy
 
 #: Small enough that the full matrix (two study runs per fault) stays
@@ -20,6 +28,10 @@ from repro.runtime.pool import BackoffPolicy
 TINY = StudyConfig(seed=11, scale=0.02, max_users=10, playlist_length=6)
 
 FAST_BACKOFF = BackoffPolicy(base_s=0.01, cap_s=0.1)
+
+
+def verify_artifacts(ckpt) -> list[str]:
+    return CheckpointStore(ckpt).verify()
 
 
 @pytest.fixture(scope="module")
@@ -191,19 +203,159 @@ class TestFullMatrix:
             watchdog_deadline_s=2.0,
         )
         assert report.ok, report.format()
-        by_label = {o.fault.label: o for o in report.outcomes}
-        assert len(by_label) == len(default_plan().faults)
-        statuses = {label: o.status for label, o in by_label.items()}
-        # The never-succeeding crash is the quarantine case; everything
-        # else must recover byte-identically.
+        statuses = {o.cell: o.status for o in report.outcomes}
+        assert len(statuses) == len(default_plan().faults)
+        # The never-succeeding crash is the quarantine case, and the
+        # disk-full journal write loses one journal entry; both are
+        # honest degradations.
         assert statuses.pop(
             "worker.play:crash+shard=2@play1+attempts<=999"
-        ) == "quarantined"
-        assert set(statuses.values()) == {"recovered"}
-        # Both signal rows went through the interrupt path or finished
-        # before delivery; either way their resume converged (ok above).
+        ) == "degraded"
+        assert statuses.pop("checkpoint.shard:enospc") == "degraded"
+        # Both signal rows were refused or finished before delivery;
+        # everything else is byte-identical.
+        assert statuses.pop("worker.play:hang+shard=1@play1") == "complete"
+        assert set(statuses.values()) <= {"complete", "refused"}
         text = report.format()
         assert "all guarantees held" in text
         payload = report.payload()
         assert payload["ok"] is True
         assert len(payload["outcomes"]) == len(report.outcomes)
+
+
+#: A three-record golden CSV for the judge's unit tests.
+GOLDEN = "user_id,fps\nu1,10\nu2,12\nu3,9\n"
+
+
+def facts(**overrides) -> CellRun:
+    """The facts of a cell that finished whole and byte-identical."""
+    return CellRun(
+        **{"label": "cell", "csv": GOLDEN, "resumed_csv": GOLDEN,
+           **overrides}
+    )
+
+
+class TestJudge:
+    def test_byte_identical_run_is_complete_even_after_retries(self):
+        outcome = judge(facts(retries=3), GOLDEN)
+        assert (outcome.status, outcome.detail) == (
+            "complete", "byte-identical"
+        )
+        assert outcome.ok and outcome.retries == 3
+
+    def test_lost_journal_writes_degrade(self):
+        outcome = judge(facts(journal_errors=1), GOLDEN)
+        assert outcome.status == "degraded"
+        assert "1 journal write(s) lost" in outcome.detail
+
+    @pytest.mark.parametrize("pressure", [
+        {"level": "soft"}, {"level": "ok", "batch_shrinks": 2},
+        {"level": "ok", "pressure_events": 1},
+    ])
+    def test_budget_pressure_degrades(self, pressure):
+        outcome = judge(facts(**pressure), GOLDEN)
+        assert outcome.status == "degraded"
+        assert "under pressure" in outcome.detail
+
+    def test_honest_quarantine_degrades(self):
+        outcome = judge(facts(
+            quarantined=(2,), named_quarantine=(2,), csv=None,
+            users=frozenset({"u1", "u3"}),
+            kept_users=frozenset({"u1", "u3"}),
+        ), GOLDEN)
+        assert outcome.status == "degraded"
+        assert outcome.quarantined == (2,)
+
+    @pytest.mark.parametrize("cause", ["disk-budget", "SIGTERM"])
+    def test_interrupt_by_the_cells_own_cause_is_refused(self, cause):
+        outcome = judge(facts(
+            cause=cause, interrupted=True, interrupted_by=cause, csv=None,
+        ), GOLDEN)
+        assert outcome.status == "refused"
+        assert outcome.interrupted_by == cause
+        assert "resume converged" in outcome.detail
+
+    def test_byte_difference_fails_naming_the_line(self):
+        changed = GOLDEN.replace("u2,12", "u2,13")
+        outcome = judge(facts(csv=changed), GOLDEN)
+        assert outcome.status == "FAILED"
+        assert not outcome.ok
+        assert outcome.detail == (
+            "run CSV diverges from the golden at line 3"
+        )
+
+    def test_truncated_resume_fails_naming_the_line(self):
+        outcome = judge(facts(resumed_csv=GOLDEN[:-len("u3,9\n")]), GOLDEN)
+        assert outcome.status == "FAILED"
+        assert "resumed CSV diverges from the golden at line 4" in (
+            outcome.detail
+        )
+
+    def test_manifest_that_misnames_the_quarantine_fails(self):
+        outcome = judge(facts(
+            quarantined=(2,), named_quarantine=(), csv=None,
+        ), GOLDEN)
+        assert outcome.status == "FAILED"
+        assert "manifest names quarantined shards [], run lost [2]" in (
+            outcome.detail
+        )
+
+    @pytest.mark.parametrize("users,kept,problem", [
+        ({"u1", "u2"}, {"u1"}, "holds records of quarantined shards"),
+        ({"u1"}, {"u1", "u3"}, "missing non-quarantined users: ['u3']"),
+    ])
+    def test_partial_dataset_must_hold_exactly_the_kept_users(
+        self, users, kept, problem
+    ):
+        outcome = judge(facts(
+            quarantined=(2,), named_quarantine=(2,), csv=None,
+            users=frozenset(users), kept_users=frozenset(kept),
+        ), GOLDEN)
+        assert outcome.status == "FAILED"
+        assert problem in outcome.detail
+
+    def test_budget_cell_interrupted_by_anything_else_fails(self):
+        outcome = judge(facts(
+            cause="disk-budget", interrupted=True, interrupted_by="SIGINT",
+            csv=None,
+        ), GOLDEN)
+        assert outcome.status == "FAILED"
+        assert outcome.detail == (
+            "interrupted by 'SIGINT', not by 'disk-budget'"
+        )
+
+    def test_cell_without_a_cause_must_not_be_interrupted(self):
+        outcome = judge(facts(
+            interrupted=True, interrupted_by="external", csv=None,
+        ), GOLDEN)
+        assert outcome.status == "FAILED"
+        assert "which this cell cannot cause" in outcome.detail
+
+    def test_resume_that_does_not_converge_fails(self):
+        outcome = judge(facts(
+            cause="SIGINT", interrupted=True, interrupted_by="SIGINT",
+            csv=None, resumed_csv=None,
+        ), GOLDEN)
+        assert outcome.status == "FAILED"
+        assert "fault-free resume did not complete" in outcome.detail
+
+    def test_dirty_artifacts_fail(self):
+        outcome = judge(facts(
+            artifact_problems=("orphaned temp file manifest.json.tmp.7",),
+        ), GOLDEN)
+        assert outcome.status == "FAILED"
+        assert "orphaned temp file" in outcome.detail
+
+    def test_one_failed_cell_fails_the_report(self):
+        report = ChaosReport(
+            plan="unit",
+            golden_sha256="ab" * 32,
+            outcomes=(
+                judge(facts(label="fine"), GOLDEN),
+                judge(facts(label="broken", resumed_csv=None), GOLDEN),
+            ),
+        )
+        assert not report.ok
+        assert "FAILED" in report.format()
+        assert "GUARANTEES VIOLATED" in report.format()
+        assert report.payload()["ok"] is False

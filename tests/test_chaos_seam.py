@@ -45,6 +45,24 @@ class TestDurableWrite:
         assert target.read_text() == "old"
         assert list(tmp_path.glob("*.tmp.*")) == []
 
+    @pytest.mark.parametrize("write", [
+        lambda seam, target: seam.write_text(
+            target, "v", site="checkpoint.shard"
+        ),
+        lambda seam, target: seam.write_chunks(
+            target, iter(["v"]), site="checkpoint.shard"
+        ),
+    ], ids=["write_text", "write_chunks"])
+    def test_failed_rename_leaves_no_temp(self, write, tmp_path):
+        # The target is a directory, so the payload writes fine and the
+        # rename over it is what raises.
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write(IoSeam(), target)
+        assert target.is_dir()
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
     def test_pre_error_fires_before_any_write(self, tmp_path):
         target = tmp_path / "fresh"
         seam = IoSeam(faults=[_fault(point="pre")])

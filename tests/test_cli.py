@@ -266,7 +266,7 @@ class TestChaosCommand:
         assert "all guarantees held" in out
         payload = json.loads(report_path.read_text())
         assert payload["ok"] is True
-        assert payload["outcomes"][0]["status"] == "recovered"
+        assert payload["outcomes"][0]["status"] == "complete"
 
     def test_chaos_refuses_worker_faults_without_a_pool(
         self, tmp_path, capsys
@@ -309,14 +309,17 @@ class TestChaosCommand:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "pressure matrix" in out
+        assert "budget=3000B" in out
         payload = json.loads(report_path.read_text())
         assert payload["ok"] is True
-        pressure = payload["pressure"]
-        assert pressure["ok"] is True
-        statuses = [o["status"] for o in pressure["outcomes"]]
-        # the unbudgeted control completes; 3000 bytes must refuse
-        assert statuses == ["complete", "refused"]
+        statuses = {o["cell"]: o["status"] for o in payload["outcomes"]}
+        # the fault-free control and the retried crash complete against
+        # the one golden; 3000 bytes must refuse
+        assert statuses == {
+            "control": "complete",
+            "worker.play:crash+shard=0@play1": "complete",
+            "budget=3000B": "refused",
+        }
 
     def test_chaos_rejects_bad_plan(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

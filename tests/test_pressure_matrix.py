@@ -1,20 +1,16 @@
-"""The chaos pressure matrix: every budget ends in an honest state.
+"""The chaos matrix's budget cells: every budget ends in an honest state.
 
-Pins the tentpole acceptance: under any disk budget a sketch run
-settles in exactly one of {complete, honestly-degraded,
-honestly-refused} with clean artifacts and byte-identical (or
-resume-convergent) data.
+Under any disk budget a sketch run settles in exactly one of
+{complete, honestly-degraded, honestly-refused} with clean artifacts
+and byte-identical (or resume-convergent) data, judged against the same
+serial golden as every fault cell.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chaos.matrix import (
-    PressureOutcome,
-    PressureReport,
-    run_pressure_matrix,
-)
+from repro.chaos.matrix import ChaosReport, run_chaos_matrix
 from repro.core.study import StudyConfig
 from repro.pressure import du_bytes
 from repro.runtime import RuntimeConfig, run_study
@@ -37,10 +33,11 @@ def footprint(tmp_path_factory) -> int:
 
 
 @pytest.fixture(scope="module")
-def report(footprint, tmp_path_factory) -> PressureReport:
+def report(footprint, tmp_path_factory) -> ChaosReport:
     """One matrix covering all three verdicts plus the chaos shrink."""
     soft_budget = int(footprint / 0.85)
-    return run_pressure_matrix(
+    return run_chaos_matrix(
+        None,
         CONFIG,
         budgets=(None, soft_budget, 3000),
         shrink_to=3000,
@@ -59,29 +56,32 @@ class TestPressureMatrix:
 
     def test_unbudgeted_control_never_leaves_ok(self, report):
         control = report.outcomes[0]
-        assert control.budget_bytes is None
-        assert control.level == ""
-        assert control.batch_shrinks == 0
+        assert control.cell == "control"
+        assert control.interrupted_by == ""
+        assert control.detail == "byte-identical"
 
     def test_degraded_cell_felt_pressure(self, report):
         degraded = report.outcomes[1]
-        assert degraded.level in ("soft", "hard")
-        assert degraded.label.endswith("B")
+        assert degraded.cell.startswith("budget=")
+        assert "level=soft" in degraded.detail or (
+            "level=hard" in degraded.detail
+        )
 
     def test_refused_cell_blames_the_budget(self, report):
         refused = report.outcomes[2]
         assert refused.status == "refused"
+        assert refused.interrupted_by == "disk-budget"
         assert "resume" in refused.detail
 
     def test_shrink_cell_is_flagged(self, report):
         shrink = report.outcomes[3]
-        assert shrink.shrunk_mid_run
-        assert shrink.label.endswith("+shrink")
+        assert shrink.cell == "pressure.disk:shrink+to=3000B@write4"
+        assert shrink.interrupted_by == "disk-budget"
 
     def test_report_renders_and_serializes(self, report):
         text = report.format()
-        assert "pressure matrix" in text
-        assert "unbudgeted" in text
+        assert "control" in text
+        assert "budget=3000B" in text
         payload = report.payload()
         assert payload["ok"] is True
         assert payload["golden_sha256"] == report.golden_sha256
@@ -89,17 +89,3 @@ class TestPressureMatrix:
         assert {o["status"] for o in payload["outcomes"]} == {
             "complete", "degraded", "refused",
         }
-
-
-class TestOutcomeShape:
-    def test_failed_outcome_is_not_ok(self):
-        outcome = PressureOutcome(
-            budget_bytes=1000, status="FAILED", level="hard",
-            batch_shrinks=0, detail="torn artifact",
-        )
-        assert not outcome.ok
-        report = PressureReport(
-            golden_sha256="ab" * 32, outcomes=(outcome,)
-        )
-        assert not report.ok
-        assert "FAILED" in report.format()

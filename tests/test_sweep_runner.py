@@ -171,7 +171,9 @@ class TestRunCell:
         import repro.sweep.runner as runner_module
 
         def broken_run_study(config, runtime):
-            return SimpleNamespace(failed_shards=(0, 2))
+            return SimpleNamespace(
+                failed_shards=(0, 2), quarantined_fraction=0.5
+            )
 
         monkeypatch.setattr(runner_module, "run_study", broken_run_study)
         cache = StudyCache(tmp_path / "cache")

@@ -251,12 +251,16 @@ class TestSinkValidation:
 
 class TestDifferentialOracle:
     def test_tiny_study_matches(self):
+        """``repro validate``'s oracle: the chaos matrix with only its
+        control cell, the serial golden against a 2-worker run."""
+        from repro.chaos.matrix import run_chaos_matrix
         from repro.core.study import StudyConfig
-        from repro.validate import run_differential_oracle
 
-        result = run_differential_oracle(
-            StudyConfig(seed=5, scale=0.01), workers=2
+        report = run_chaos_matrix(
+            None, StudyConfig(seed=5, scale=0.01), workers=2,
+            shard_count=None, budgets=(None,),
         )
-        assert result.matched, str(result)
-        assert result.records > 0
-        assert "serial == parallel" in str(result)
+        assert report.ok, report.format()
+        [control] = report.outcomes
+        assert (control.cell, control.status) == ("control", "complete")
+        assert control.detail == "byte-identical"
